@@ -57,8 +57,15 @@ def _matrix_json(m):
     return [[_frac_str(x) for x in row] for row in m]
 
 
+def _int(x) -> int:
+    q = _frac(x)
+    if q.denominator != 1:
+        raise ValueError(f"{x} is not an integer")
+    return q.numerator
+
+
 def _parse_poly(coeffs):
-    return tuple(int(Fraction(str(c))) for c in coeffs)
+    return tuple(_int(c) for c in coeffs)
 
 
 def _parse_target(terms) -> rel.ExponentPolynomial:
@@ -82,6 +89,16 @@ def _bounds_json(b: rel.BoundData):
     }
 
 
+def _prime_and_seed(data, prime, seed):
+    """The working prime (None for automatic) and seed: the command-line
+    option when given, else the input's "prime"/"seed" keys."""
+    prime = prime if prime is not None else data.get("prime")
+    if prime == "auto":
+        prime = None
+    seed = seed if seed is not None else data.get("seed", 0)
+    return prime, seed
+
+
 class InputError(click.ClickException):
     exit_code = 2
 
@@ -103,7 +120,6 @@ def _common(f):
                      default=None, help="certification mode")(f)
     f = click.option("--prime", type=int, default=None,
                      help="fixed working prime (default: automatic)")(f)
-    f = click.option("--prime-search-limit", type=int, default=20)(f)
     f = click.option("--seed", type=int, default=None)(f)
     f = click.option("--out", type=click.Path(), default=None,
                      help="write JSON here instead of standard output")(f)
@@ -124,17 +140,14 @@ def main():
 @click.option("--delta", default="3/4", help="LLL parameter")
 @click.option("--group-order", type=int, default=None,
               help="known Galois group order (tightens the degree bound)")
-def cmd_hull(source, mode, prime, prime_search_limit, seed, out, verbose,
-             group_path, delta, group_order):
+def cmd_hull(source, mode, prime, seed, out, verbose, group_path, delta,
+             group_order):
     """Algebraic hull of a matrix or a Lie algebra of matrices."""
 
     def go():
         data = _read_json(source)
         mode_ = mode or data.get("mode", "proven")
-        prime_ = prime if prime is not None else data.get("prime")
-        if prime_ == "auto":
-            prime_ = None
-        seed_ = seed if seed is not None else data.get("seed", 0)
+        prime_, seed_ = _prime_and_seed(data, prime, seed)
         cfg = dict(mode=mode_, prime=prime_, seed=seed_,
                    delta=Fraction(str(delta)), group_order=group_order)
         t0 = time.perf_counter()
@@ -172,8 +185,8 @@ def cmd_hull(source, mode, prime, prime_search_limit, seed, out, verbose,
 @_common
 @click.option("--group", "group_path", type=click.Path(exists=True), default=None)
 @click.option("--group-order", type=int, default=None)
-def cmd_relations(source, mode, prime, prime_search_limit, seed, out, verbose,
-                  group_path, group_order):
+def cmd_relations(source, mode, prime, seed, out, verbose, group_path,
+                  group_order):
     """Z-basis of the integer relation lattice of the targets."""
 
     def go():
@@ -181,10 +194,7 @@ def cmd_relations(source, mode, prime, prime_search_limit, seed, out, verbose,
         f = _parse_poly(data["poly"])
         targets = rel.TargetSet(f, tuple(_parse_target(t) for t in data["targets"]))
         mode_ = mode or data.get("mode", "proven")
-        prime_ = prime if prime is not None else data.get("prime")
-        if prime_ == "auto":
-            prime_ = None
-        seed_ = seed if seed is not None else data.get("seed", 0)
+        prime_, seed_ = _prime_and_seed(data, prime, seed)
         t0 = time.perf_counter()
         gp = group_path or data.get("group")
         if gp:
@@ -221,8 +231,7 @@ def cmd_relations(source, mode, prime, prime_search_limit, seed, out, verbose,
 @click.argument("source", required=False)
 @_common
 @click.option("--group-order", type=int, default=None)
-def cmd_iszero(source, mode, prime, prime_search_limit, seed, out, verbose,
-               group_order):
+def cmd_iszero(source, mode, prime, seed, out, verbose, group_order):
     """Provably decide whether a target expression in the roots is zero."""
 
     def go():
@@ -230,16 +239,14 @@ def cmd_iszero(source, mode, prime, prime_search_limit, seed, out, verbose,
         f = _parse_poly(data["poly"])
         g = _parse_target(data["target"])
         mode_ = mode or data.get("mode", "proven")
-        prime_ = prime if prime is not None else data.get("prime")
-        if prime_ == "auto":
-            prime_ = None
+        prime_, seed_ = _prime_and_seed(data, prime, seed)
         kw = {}
         if mode_ == "heuristic":
             kw["k"] = int(data.get("k", 4))
         t0 = time.perf_counter()
         answer, bounds = rel.zero_test(g, f, mode=mode_, prime=prime_,
                                        group_order=group_order,
-                                       seed=seed or 0, **kw)
+                                       seed=seed_, **kw)
         elapsed = time.perf_counter() - t0
         _emit({
             "result": answer,
@@ -260,7 +267,7 @@ def cmd_lll(source, delta, out):
 
     def go():
         rows = _read_json(source)
-        basis = [[int(Fraction(str(x))) for x in row] for row in rows]
+        basis = [[_int(x) for x in row] for row in rows]
         reduced = lattice.lll_reduce(basis, delta=Fraction(str(delta)))
         _emit([[str(x) for x in row] for row in reduced], out)
 
@@ -313,8 +320,8 @@ cmd_oracle_deg6 = _oracle_cmd("oracle-deg6", 6, hull_mod.closed_form_deg6)
 def _corpus_group(entry, f, seed):
     """Build the permutation group an entry requests for the galois route."""
     kind = entry.get("group_kind", "frobenius")
-    sel = padic.select_prime(tuple(f), prefer="max")
-    roots = padic.cached_roots(tuple(f), sel.p, sel.f_p, 8, seed)
+    ctx = padic.root_context(f, prefer="max", seed=seed)
+    roots = ctx.roots(8)
     if kind == "frobenius":
         g = galois_mod.PermGroup.frobenius(roots)
     elif kind == "radical":
@@ -331,7 +338,7 @@ def _corpus_group(entry, f, seed):
         raise ValueError(f"unknown group_kind {kind!r}")
     if g is None:
         raise ValueError(f"could not build a {kind} group for this entry")
-    return g, sel.p
+    return g, ctx.p
 
 
 @main.command("bench")

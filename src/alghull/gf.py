@@ -334,7 +334,8 @@ class GFpm:
             # monic x + c  ->  root -c
             out.append(self.neg(self.mul(f[0], self.inv(f[1]))))
             return
-        assert self.p != 2  # tiny-field fallback covers p = 2
+        if self.p == 2:  # the exhaustive search covers every field of size <= 4096
+            raise ValueError("equal-degree splitting needs an odd characteristic")
         while True:
             a = tuple(rng.randrange(self.p) for _ in range(self.m))
             shifted = ((a), self.one())  # x + a

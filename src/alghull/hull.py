@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import galois as galois_mod
-from . import lattice, linalg, matrices
+from . import lattice, linalg, matrices, padic
 from . import polynomials as pol
 from . import relations as rel
 
@@ -25,7 +25,7 @@ from . import relations as rel
 class HullResult:
     span: matrices.MatrixSpan
     certification: str
-    route: str  # "relation-based" | "fast-path" | "closed-form"
+    route: str  # "relation-based"
     witnesses: dict = field(default_factory=dict)
 
     @property
@@ -33,31 +33,22 @@ class HullResult:
         return self.span.dim
 
 
-def _relation_basis(targets, route, group, **kw):
+def _relation_basis(targets, route, group, mode="proven", prime=None, seed=0,
+                    delta=Fraction(3, 4), group_order=None):
     if route == "galois":
         if group is None:
-            roots = _default_roots(targets, **kw)
-            group = galois_mod.PermGroup.frobenius(roots)
+            ctx = padic.root_context(targets.f, prime, prefer="max", seed=seed)
+            group = galois_mod.PermGroup.frobenius(ctx.roots(4))
         return rel.find_relations_galois(
-            targets, group,
-            mode=kw.get("mode", "proven"), prime=kw.get("prime"),
-            group_order=kw.get("group_order"), seed=kw.get("seed", 0),
+            targets, group, mode=mode, prime=prime,
+            group_order=group_order, seed=seed,
         )
     if route != "lll":
         raise ValueError(f"unknown route {route!r}")
     return rel.find_relations_lll(
-        targets,
-        mode=kw.get("mode", "proven"), prime=kw.get("prime"),
-        group_order=kw.get("group_order"), seed=kw.get("seed", 0),
-        delta=kw.get("delta", Fraction(3, 4)),
+        targets, mode=mode, prime=prime,
+        group_order=group_order, seed=seed, delta=delta,
     )
-
-
-def _default_roots(targets, **kw):
-    from . import padic
-
-    sel = rel._resolve_prime(targets.f, kw.get("prime"), prefer="max")
-    return padic.cached_roots(targets.f, sel.p, sel.f_p, 4, kw.get("seed", 0))
 
 
 def hull_semisimple(x, mode: str = "proven", route: str = "lll",

@@ -5,10 +5,15 @@ The ring is (Z/p^k)[t]/(omega) with omega monic of degree f_p, irreducible
 mod p.  Elements are coefficient tuples of length f_p with entries in
 [0, p^k).  The same integer lift of omega (entries in [0, p)) is reused at
 every precision, so roots lifted at different precisions stay compatible.
+
+Callers reach roots through a RootContext (see root_context): one per
+polynomial, prime and seed, holding the prime selection, omega and the
+highest-precision lift made so far.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
@@ -16,6 +21,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import gf
+from . import polynomials as pol
 
 
 class PadicError(ValueError):
@@ -26,12 +32,20 @@ class NoAdmissiblePrime(PadicError):
     pass
 
 
+class NotSquarefree(PadicError):
+    """f has a repeated root over Q, so no prime is admissible."""
+
+
 # ----------------------------------------------------------------- primes
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
 
 def _primes_from(start: int):
     n = max(start, 2)
     while True:
-        if all(n % d for d in range(2, int(math.isqrt(n)) + 1)):
+        if _is_prime(n):
             yield n
         n += 1
 
@@ -56,6 +70,11 @@ def factor_degrees(f: Sequence[int], p: int) -> tuple[int, ...]:
     return gf.distinct_degree_degrees(gf.gf_normalize(f, p), p)
 
 
+def _selection_at(f: Sequence[int], p: int) -> PrimeSelection:
+    degs = factor_degrees(f, p)
+    return PrimeSelection(p, math.lcm(*degs) if degs else 1, degs)
+
+
 def select_prime(
     f: Sequence[int],
     search_limit: int = 20,
@@ -67,27 +86,26 @@ def select_prime(
 
     prefer="min" minimizes the splitting degree f_p (ties: smallest p);
     prefer="max" maximizes it, which feeds the Galois-action route more
-    Frobenius columns.  `avoid` excludes divisors of that integer.
+    Frobenius columns.  `avoid` excludes divisors of that integer.  At
+    most 10 * search_limit candidate primes are tried, so the scan ends
+    even when few primes (or none) are admissible.
     """
     n = len(f) - 1
     if floor is None:
         floor = n + 1
     found: list[PrimeSelection] = []
-    count = 0
-    for p in _primes_from(max(floor, 2)):
-        if count >= search_limit:
+    candidates = _primes_from(max(floor, 2))
+    for _ in range(10 * search_limit):
+        if len(found) >= search_limit:
             break
-        if avoid % p == 0:
+        p = next(candidates)
+        if avoid % p == 0 or not is_admissible(f, p):
             continue
-        if not is_admissible(f, p):
-            continue
-        degs = factor_degrees(f, p)
-        found.append(PrimeSelection(p, math.lcm(*degs) if degs else 1, degs))
-        count += 1
+        found.append(_selection_at(f, p))
     if not found:
         raise NoAdmissiblePrime(
-            f"no admissible prime for the polynomial within the first "
-            f"{search_limit} candidates"
+            f"no admissible prime for the polynomial among the first "
+            f"{10 * search_limit} candidates"
         )
     if prefer == "min":
         return min(found, key=lambda s: (s.f_p, s.p))
@@ -126,6 +144,16 @@ class UnramifiedRing:
 
     def __repr__(self):
         return f"UnramifiedRing(p={self.p}, k={self.k}, f_p={self.degree})"
+
+    def at_precision(self, k: int) -> "UnramifiedRing":
+        """The same extension at precision k; omega is not tested again."""
+        if k == self.k:
+            return self
+        if k < 1:
+            raise PadicError("precision exponent must be >= 1")
+        ring = copy.copy(self)
+        ring.k, ring.modulus = k, self.p**k
+        return ring
 
     @property
     def residue_field(self) -> gf.GFpm:
@@ -223,7 +251,8 @@ class PadicElement:
         while prec < ring.k:
             y = y * (ring.from_int(2) - self * y)
             prec *= 2
-        assert (self * y).coeffs == ring.one().coeffs
+        if (self * y).coeffs != ring.one().coeffs:
+            raise PadicError("Newton inversion did not converge to an inverse")
         return y
 
     def frobenius_residue(self) -> tuple[int, ...]:
@@ -329,45 +358,33 @@ def lift_roots(f: Sequence[int], ring: UnramifiedRing, seed: int = 0) -> ApproxR
     residues = sorted(field.roots_of_split_poly(fbar, seed=seed))
     if len(residues) != len(f) - 1:
         raise PadicError("ring degree too small: polynomial does not split")
-    fprime = tuple(i * f[i] for i in range(1, len(f)))
-    roots = []
-    for r in residues:
-        prec = 1
-        cur_ring = UnramifiedRing(p, 1, ring.omega) if ring.k > 1 else ring
-        alpha = cur_ring.from_residue(r)
-        while prec < ring.k:
-            prec = min(2 * prec, ring.k)
-            nxt = UnramifiedRing(p, prec, ring.omega) if prec != ring.k else ring
-            alpha = nxt.element(alpha.coeffs)
-            alpha = alpha - _eval_int_poly(f, alpha) * _eval_int_poly(fprime, alpha).inverse()
-        if ring.k == 1:
-            alpha = ring.element(alpha.coeffs)
-        assert _eval_int_poly(f, alpha).is_zero()
-        roots.append(alpha)
-    return ApproxRoots(ring, tuple(roots), f)
+    base = ring.at_precision(1)
+    start = ApproxRoots(base, tuple(base.from_residue(r) for r in residues), f)
+    return increase_precision(start, ring.k)
 
 
 def increase_precision(roots: ApproxRoots, k_new: int) -> ApproxRoots:
-    """Same roots (same labeling) at a higher precision."""
+    """Same roots (same labeling) at a higher precision, by Newton steps
+    that double the precision; every result is checked to be a root."""
     old = roots.ring
-    if k_new == old.k:
-        return roots
     if k_new < old.k:
         raise PadicError("cannot decrease precision")
-    ring = UnramifiedRing(old.p, k_new, old.omega)
+    steps = []
+    prec = old.k
+    while prec < k_new:
+        prec = min(2 * prec, k_new)
+        steps.append(old.at_precision(prec))
     f = roots.poly
     fprime = tuple(i * f[i] for i in range(1, len(f)))
     lifted = []
-    for r in roots.roots:
-        prec = old.k
-        alpha = r
-        while prec < k_new:
-            prec = min(2 * prec, k_new)
-            nxt = UnramifiedRing(old.p, prec, old.omega) if prec != k_new else ring
-            alpha = nxt.element(alpha.coeffs)
+    for alpha in roots.roots:
+        for ring in steps:
+            alpha = ring.element(alpha.coeffs)
             alpha = alpha - _eval_int_poly(f, alpha) * _eval_int_poly(fprime, alpha).inverse()
+        if not _eval_int_poly(f, alpha).is_zero():
+            raise PadicError(f"lifted value is not a root of f mod {old.p}^{k_new}")
         lifted.append(alpha)
-    return ApproxRoots(ring, tuple(lifted), f)
+    return ApproxRoots(old.at_precision(k_new), tuple(lifted), f)
 
 
 def eval_target(g, roots: ApproxRoots) -> PadicElement:
@@ -412,15 +429,89 @@ def frobenius_perm(roots: ApproxRoots) -> tuple[int, ...]:
     return tuple(images)
 
 
-# ------------------------------------------------------------ root caching
+# ------------------------------------------------------------ root context
 
-@lru_cache(maxsize=256)
-def _cached_ring(p: int, f_p: int, k: int, seed: int) -> UnramifiedRing:
-    return build_unramified(p, f_p, k, seed=seed)
+class RootContext:
+    """The roots of one squarefree f at one prime p, shared by every query.
+
+    Made only by root_context().  It holds the PrimeSelection, the ring
+    (omega found and tested irreducible once; other precisions reuse it)
+    and the highest-precision lift made so far.  roots(k) reduces that lift
+    mod p^k when k is at or below its precision, and otherwise lifts upward
+    from it with increase_precision.
+    """
+
+    def __init__(self, f: tuple[int, ...], p: int, seed: int):
+        self.f = f
+        self.p = p
+        self.seed = seed
+        self._selection: PrimeSelection | None = None
+        self._top: ApproxRoots | None = None
+
+    @property
+    def selection(self) -> PrimeSelection:
+        if self._selection is None:
+            self._selection = _selection_at(self.f, self.p)
+        return self._selection
+
+    @property
+    def f_p(self) -> int:
+        return self.selection.f_p
+
+    def roots(self, k: int) -> ApproxRoots:
+        """The labeled roots at precision k."""
+        top = self._top
+        if top is None:
+            ring = build_unramified(self.p, self.f_p, k, seed=self.seed)
+            top = self._top = lift_roots(self.f, ring, seed=self.seed)
+        elif k > top.k:
+            top = self._top = increase_precision(top, k)
+        if k == top.k:
+            return top
+        ring = top.ring.at_precision(k)
+        return ApproxRoots(ring, tuple(ring.element(r.coeffs) for r in top.roots), self.f)
+
+
+def root_context(
+    f: Sequence[int], prime: int | None = None, prefer: str = "min", seed: int = 0
+) -> RootContext:
+    """The shared RootContext of f at `prime`, or at the prime that
+    select_prime(f, prefer=prefer) picks when `prime` is None.
+
+    f must be monic and squarefree over Q (NotSquarefree otherwise); a
+    fixed prime must be a prime and admissible.  Contexts reached through an automatic
+    and a fixed choice of the same prime are the same object.
+    """
+    f = tuple(int(c) for c in f)
+    if prime is not None:
+        return _root_context(f, int(prime), None, int(seed))
+    return _root_context(f, None, prefer, int(seed))
+
+
+@lru_cache(maxsize=128)
+def _root_context(f: tuple[int, ...], prime: int | None, prefer: str | None,
+                  seed: int) -> RootContext:
+    if not f or f[-1] != 1:
+        raise PadicError("polynomial must be monic")
+    if pol.degree(pol.gcd(f, pol.derivative(f))) > 0:
+        raise NotSquarefree("polynomial is not squarefree over Q (gcd(f, f') is not constant)")
+    if prime is None:
+        sel = select_prime(f, prefer=prefer)
+        ctx = _root_context(f, sel.p, None, seed)
+        if ctx._selection is None:
+            ctx._selection = sel
+        return ctx
+    if not _is_prime(prime):
+        raise PadicError(f"{prime} is not a prime")
+    if not is_admissible(f, prime):
+        raise PadicError(f"prime {prime} is not admissible (f not squarefree mod {prime})")
+    return RootContext(f, prime, seed)
 
 
 @lru_cache(maxsize=256)
 def cached_roots(f: tuple[int, ...], p: int, f_p: int, k: int, seed: int) -> ApproxRoots:
     """Deterministic shared root lifts; labeling is consistent across k."""
-    ring = _cached_ring(p, f_p, k, seed)
-    return lift_roots(f, ring, seed=seed)
+    ctx = root_context(f, p, seed=seed)
+    if ctx.f_p != f_p:
+        raise PadicError(f"f splits in degree {ctx.f_p} at p={p}, not {f_p}")
+    return ctx.roots(k)

@@ -121,7 +121,8 @@ def squarefree_part(f: Poly) -> Poly:
     if degree(g) == 0:
         return monic(f)
     q, r = divmod_poly(f, g)
-    assert not r
+    if r:
+        raise ValueError("gcd(f, f') does not divide f")
     return monic(q)
 
 

@@ -182,16 +182,6 @@ def proven_precision(p: int, f_p: int, base: int, r: int) -> int:
 
 # -------------------------------------------------------------- zero test
 
-def _resolve_prime(f, prime, prefer="min", search_limit=20):
-    if prime is None:
-        return padic.select_prime(f, search_limit=search_limit, prefer=prefer)
-    p = int(prime)
-    if not padic.is_admissible(f, p):
-        raise ValueError(f"prime {p} is not admissible (f not squarefree mod {p})")
-    degs = padic.factor_degrees(f, p)
-    return padic.PrimeSelection(p, math.lcm(*degs), degs)
-
-
 def zero_test(
     g: ExponentPolynomial,
     f: Sequence[int],
@@ -208,10 +198,10 @@ def zero_test(
     (required) and the answer is only as good as that precision.
     """
     f = tuple(int(c) for c in f)
+    ctx = padic.root_context(f, prime, seed=seed)
+    sel = ctx.selection
     if g.is_zero_poly():
-        sel = _resolve_prime(f, prime)
         return True, BoundData(1, 1, 1, 1, 1, 1, sel.p, sel.f_p)
-    sel = _resolve_prime(f, prime)
     m_prime = complex_root_bound(f)
     m = max(embedding_bound(g, m_prime), 1)
     r = degree_bound(f, group_order)
@@ -224,8 +214,7 @@ def zero_test(
         k_use = min(int(k), k_proven)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    roots = padic.cached_roots(f, sel.p, sel.f_p, k_use, seed)
-    value = padic.eval_target(g, roots)
+    value = padic.eval_target(g, ctx.roots(k_use))
     answer = padic.valuation(value) >= k_use
     bounds = BoundData(m_prime, m, r, 1, k_use, 1, sel.p, sel.f_p)
     return answer, bounds
@@ -261,14 +250,14 @@ def _shared_bounds(targets: TargetSet, group_order):
     return m_prime, m, r, n_bound
 
 
-def _lll_extract(targets: TargetSet, sel, k: int, lam: int, threshold_sq: int,
-                 delta, seed: int):
+def _lll_extract(targets: TargetSet, ctx: padic.RootContext, k: int, lam: int,
+                 threshold_sq: int, delta):
     """One pass of the block-matrix construction: lift, reduce, extract."""
     s = targets.s
-    f_p = sel.f_p
-    roots = padic.cached_roots(targets.f, sel.p, f_p, k, seed)
+    f_p = ctx.f_p
+    roots = ctx.roots(k)
     b_rows = [padic.eval_target(g, roots).coeffs for g in targets.targets]
-    pk = sel.p**k
+    pk = ctx.p**k
     big = []
     for i in range(s):
         big.append(
@@ -313,7 +302,8 @@ def find_relations_lll(
     and whose leading block stays under the size threshold are exactly a
     generating set of Lambda; each is re-verified independently anyway.
     """
-    sel = _resolve_prime(targets.f, prime)
+    ctx = padic.root_context(targets.f, prime, seed=seed)
+    sel = ctx.selection
     s = targets.s
     m_prime, m, r, n_bound = _shared_bounds(targets, group_order)
     # Size threshold for genuine rows: Lambda has a basis of sup-norm
@@ -327,7 +317,7 @@ def find_relations_lll(
     k_proven = proven_precision(sel.p, sel.f_p, t_bound * m * s, r)
 
     def pass_at(k):
-        rows = _lll_extract(targets, sel, k, lam, threshold_sq, delta, seed)
+        rows = _lll_extract(targets, ctx, k, lam, threshold_sq, delta)
         rows = [
             e for e in rows
             if is_zero(_combination(targets, e), targets.f, mode="proven",
@@ -427,7 +417,8 @@ def find_relations_galois(
     n = len(targets.f) - 1
     if group.degree != n:
         raise ValueError("group degree must equal deg f")
-    sel = _resolve_prime(targets.f, prime, prefer="max")
+    ctx = padic.root_context(targets.f, prime, prefer="max", seed=seed)
+    sel = ctx.selection
     s = targets.s
     m_prime, m, r, n_bound = _shared_bounds(targets, group_order)
     if mode == "proven":
@@ -441,7 +432,7 @@ def find_relations_galois(
     validated = False
     stuck = 0
     for rnd in range(max_rounds):
-        roots = padic.cached_roots(targets.f, sel.p, sel.f_p, k, seed)
+        roots = ctx.roots(k)
         if not validated:
             for g in group.generators:
                 if not galois_mod.validate_action(g, roots):

@@ -7,7 +7,7 @@ Polynomials are coefficient tuples, constant term first.
 
 from dataclasses import dataclass
 
-from alghull import galois, padic, relations
+from alghull import galois, padic
 
 
 @dataclass(frozen=True)
@@ -41,13 +41,12 @@ CORPUS = (
 
 def prime_for(entry: Entry) -> int:
     """The prime the permutation route picks (largest residue degree)."""
-    return relations._resolve_prime(entry.poly, None, prefer="max").p
+    return padic.root_context(entry.poly, prefer="max").p
 
 
 def roots_for(entry: Entry, k: int = 8, seed: int = 0):
     """Labeled approximate roots at the prime the permutation route picks."""
-    sel = relations._resolve_prime(entry.poly, None, prefer="max")
-    return padic.cached_roots(tuple(entry.poly), sel.p, sel.f_p, k, seed)
+    return padic.root_context(entry.poly, prefer="max", seed=seed).roots(k)
 
 
 def group_for(entry: Entry, seed: int = 0):
