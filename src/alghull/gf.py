@@ -154,14 +154,22 @@ def _prime_divisors(n: int) -> list[int]:
 
 
 def find_irreducible(p: int, m: int, seed: int = 0) -> tuple[int, ...]:
-    """Monic irreducible polynomial of degree m over F_p (seeded search)."""
+    """Monic irreducible polynomial of degree m over F_p (seeded search).
+
+    p must be prime.  At least a fraction 1/(2m) of the monic polynomials
+    of degree m over F_p are irreducible, so the 200 m candidates tried
+    all fail with probability below e^-100; ValueError then, as for a
+    composite p, which has no field to search.
+    """
     if m == 1:
         return (0, 1)
     rng = random.Random((seed, p, m).__hash__())
-    while True:
+    for _ in range(200 * m):
         cand = tuple(rng.randrange(p) for _ in range(m)) + (1,)
         if gf_is_irreducible(cand, p):
             return cand
+    raise ValueError(f"no irreducible polynomial of degree {m} over F_{p} "
+                     f"among {200 * m} candidates")
 
 
 # ---------------------------------------------------------------- GF(p^m)

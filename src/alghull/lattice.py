@@ -1,8 +1,9 @@
 """Integer lattices and modular linear algebra.
 
-LLL reduction (exact rationals), row Hermite normal form, nullspaces over
-Z/p^k (Howell form, which handles the zero divisors correctly), rational
-reconstruction, and saturation of rational row spans to Z-bases.
+Integral LLL reduction (integer Gram determinants, no rationals), row
+Hermite normal form, nullspaces over Z/p^k (Howell form, which handles the
+zero divisors correctly), rational reconstruction, and saturation of
+rational row spans to Z-bases.
 
 Matrices are tuples of row tuples of ints (rationals for saturate input).
 """
@@ -12,8 +13,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Sequence
-
-from . import linalg
 
 
 def _int_rows(rows) -> list[list[int]]:
@@ -25,58 +24,76 @@ def _int_rows(rows) -> list[list[int]]:
 def lll_reduce(rows: Sequence[Sequence[int]], delta: Fraction = Fraction(3, 4)):
     """LLL-reduced basis of the lattice generated by the rows.
 
-    Exact rational Gram-Schmidt; rows must be linearly independent.  With
-    the default delta = 3/4 every output row b_i satisfies
-    ||b_i||^2 <= 2^(n-1) M^2 whenever the lattice contains n independent
-    vectors of norm at most M.
+    Integral LLL (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.6.7): it keeps the Gram determinants d[0] = 1, d[i+1] of rows
+    0..i, and lam[i][j] = d[j+1] mu[i][j], all integers, so every division
+    is exact and no rational is formed.  mu[i][j] is rounded half to even,
+    as round() does on a Fraction.  Rows must have equal length and be
+    linearly independent.  With the default delta = 3/4 every output row
+    b_i satisfies ||b_i||^2 <= 2^(n-1) M^2 whenever the lattice contains n
+    independent vectors of norm at most M.
     """
-    if not (Fraction(1, 4) < Fraction(delta) < 1):
-        raise ValueError("delta must lie in (1/4, 1)")
     delta = Fraction(delta)
+    if not (Fraction(1, 4) < delta < 1):
+        raise ValueError("delta must lie in (1/4, 1)")
     b = [[int(x) for x in row] for row in rows]
+    if len({len(row) for row in b}) > 1:
+        raise ValueError("lll_reduce needs rows of equal length")
     n = len(b)
-    if n == 0:
-        return ()
-    if linalg.rank(b) != n:
-        raise ValueError("lll_reduce needs linearly independent rows")
-
-    mu, norms = gram_schmidt_data(b)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            u = sum(x * y for x, y in zip(b[i], b[j]))
+            for l in range(j):
+                u = (d[l + 1] * u - lam[i][l] * lam[j][l]) // d[l]
+            if j < i:
+                lam[i][j] = u
+            else:
+                d[i + 1] = u
+        if d[i + 1] == 0:
+            raise ValueError("lll_reduce needs linearly independent rows")
 
     def reduce_row(i, j):
-        if abs(mu[i][j]) > Fraction(1, 2):
-            q = round(mu[i][j])
+        dj = d[j + 1]
+        if 2 * abs(lam[i][j]) > dj:
+            q, r = divmod(lam[i][j], dj)
+            if 2 * r > dj or (2 * r == dj and q % 2):
+                q += 1
             b[i] = [x - q * y for x, y in zip(b[i], b[j])]
             for l in range(j):
-                mu[i][l] -= q * mu[j][l]
-            mu[i][j] -= q
+                lam[i][l] -= q * lam[j][l]
+            lam[i][j] -= q * dj
 
     i = 1
     while i < n:
         reduce_row(i, i - 1)
-        if norms[i] >= (delta - mu[i][i - 1] ** 2) * norms[i - 1]:
+        m = lam[i][i - 1]
+        if delta.denominator * (d[i + 1] * d[i - 1] + m * m) >= delta.numerator * d[i] ** 2:
             for j in range(i - 2, -1, -1):
                 reduce_row(i, j)
             i += 1
         else:
-            # swap rows i-1, i and patch the Gram-Schmidt data in place
-            m = mu[i][i - 1]
-            new_norm = norms[i] + m * m * norms[i - 1]
-            mu[i][i - 1] = m * norms[i - 1] / new_norm
-            norms[i] = norms[i - 1] * norms[i] / new_norm
-            norms[i - 1] = new_norm
+            # swap rows i-1, i; every update below is an exact division
+            new_d = (d[i + 1] * d[i - 1] + m * m) // d[i]
             b[i - 1], b[i] = b[i], b[i - 1]
             for j in range(i - 1):
-                mu[i - 1][j], mu[i][j] = mu[i][j], mu[i - 1][j]
+                lam[i - 1][j], lam[i][j] = lam[i][j], lam[i - 1][j]
             for l in range(i + 1, n):
-                t = mu[l][i]
-                mu[l][i] = mu[l][i - 1] - m * t
-                mu[l][i - 1] = t + mu[i][i - 1] * mu[l][i]
+                t = lam[l][i]
+                lam[l][i] = (d[i + 1] * lam[l][i - 1] - m * t) // d[i]
+                lam[l][i - 1] = (new_d * t + m * lam[l][i]) // d[i + 1]
+            d[i] = new_d
             i = max(i - 1, 1)
     return tuple(tuple(row) for row in b)
 
 
 def gram_schmidt_data(rows: Sequence[Sequence[int]]):
-    """(mu, squared norms of the orthogonalized rows), exact over Q."""
+    """(mu, squared norms of the orthogonalized rows), exact over Q.
+
+    Rational Gram-Schmidt, independent of lll_reduce's integer data; it is
+    what is_lll_reduced checks against.
+    """
     n = len(rows)
     mu = [[Fraction(0)] * n for _ in range(n)]
     bstar = []

@@ -120,6 +120,21 @@ class UnramifiedRing:
     """(Z/p^k)[t]/(omega): precision-k model of the unramified extension."""
 
     def __init__(self, p: int, k: int, omega: Sequence[int]):
+        if not _is_prime(p):
+            raise PadicError(f"{p} is not a prime")
+        self._setup(p, k, omega)
+        if not gf.gf_is_irreducible(self.omega, p):
+            raise PadicError("defining polynomial is reducible mod p")
+
+    @classmethod
+    def _over_irreducible(cls, p: int, k: int, omega: Sequence[int]) -> "UnramifiedRing":
+        """The ring over an omega that gf.find_irreducible found (and so
+        tested) at a prime p; Rabin's test is not run again."""
+        ring = cls.__new__(cls)
+        ring._setup(p, k, omega)
+        return ring
+
+    def _setup(self, p: int, k: int, omega: Sequence[int]) -> None:
         if k < 1:
             raise PadicError("precision exponent must be >= 1")
         self.p = p
@@ -129,8 +144,6 @@ class UnramifiedRing:
         if self.omega[-1] != 1:
             raise PadicError("defining polynomial must be monic")
         self.degree = len(self.omega) - 1
-        if not gf.gf_is_irreducible(self.omega, p):
-            raise PadicError("defining polynomial is reducible mod p")
         self._residue_field = gf.GFpm(p, self.omega)
 
     def __eq__(self, other):
@@ -299,9 +312,14 @@ def valuation(x, p: int | None = None, k: int | None = None) -> int:
 # ------------------------------------------------------------------ roots
 
 def build_unramified(p: int, f_p: int, k: int, seed: int = 0) -> UnramifiedRing:
-    """Ring of degree f_p and precision k, defining polynomial by seeded search."""
-    omega = gf.find_irreducible(p, f_p, seed=seed)
-    return UnramifiedRing(p, k, omega)
+    """Ring of degree f_p and precision k, defining polynomial by seeded search.
+
+    The search tests each candidate with Rabin's test, so the ring is built
+    without testing omega a second time.
+    """
+    if not _is_prime(p):
+        raise PadicError(f"{p} is not a prime")
+    return UnramifiedRing._over_irreducible(p, k, gf.find_irreducible(p, f_p, seed=seed))
 
 
 @dataclass(frozen=True)
@@ -365,7 +383,8 @@ def lift_roots(f: Sequence[int], ring: UnramifiedRing, seed: int = 0) -> ApproxR
 
 def increase_precision(roots: ApproxRoots, k_new: int) -> ApproxRoots:
     """Same roots (same labeling) at a higher precision, by Newton steps
-    that double the precision; every result is checked to be a root."""
+    that double the precision; f'(alpha) is inverted once per root and its
+    inverse lifted along.  Every result is checked to be a root."""
     old = roots.ring
     if k_new < old.k:
         raise PadicError("cannot decrease precision")
@@ -378,9 +397,14 @@ def increase_precision(roots: ApproxRoots, k_new: int) -> ApproxRoots:
     fprime = tuple(i * f[i] for i in range(1, len(f)))
     lifted = []
     for alpha in roots.roots:
+        # y is f'(alpha)^-1 to the precision alpha had before the step,
+        # which is all a doubling step needs; one Newton update per step
+        # carries it along.
+        y = _eval_int_poly(fprime, alpha).inverse()
         for ring in steps:
-            alpha = ring.element(alpha.coeffs)
-            alpha = alpha - _eval_int_poly(f, alpha) * _eval_int_poly(fprime, alpha).inverse()
+            alpha, y = ring.element(alpha.coeffs), ring.element(y.coeffs)
+            alpha = alpha - _eval_int_poly(f, alpha) * y
+            y = y * (ring.from_int(2) - _eval_int_poly(fprime, alpha) * y)
         if not _eval_int_poly(f, alpha).is_zero():
             raise PadicError(f"lifted value is not a root of f mod {old.p}^{k_new}")
         lifted.append(alpha)

@@ -92,6 +92,12 @@ def test_lll_command():
     assert len(rows) == 3
 
 
+def test_lll_command_rejects_ragged_rows():
+    result = runner.invoke(main, ["lll", "-"], input=json.dumps([[1, 0, 0], [0, 1]]))
+    assert result.exit_code == 2
+    assert "equal length" in result.output
+
+
 def test_jordan_command():
     result = _invoke(["jordan", "-"], stdin=json.dumps({"matrix": [[1, 1], [0, 1]]}))
     assert result.exit_code == 0

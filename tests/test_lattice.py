@@ -1,19 +1,26 @@
 """Integer lattice machinery: LLL, HNF, Howell form, nullspaces mod p^k,
 rational reconstruction and saturation.
 
-Oracles: shortest vectors for small dimensions come from exhaustive
-enumeration over a certified coefficient box; HNF canonicity is checked
-against random unimodular re-generations of the same lattice.
+Oracles: integral LLL must match, byte for byte, a rational-arithmetic LLL
+that runs the same loop (kept here only as the reference); shortest vectors
+for small dimensions come from exhaustive enumeration over a certified
+coefficient box; HNF canonicity is checked against random unimodular
+re-generations of the same lattice.
 """
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import alghull
 from alghull import lattice, linalg
 
 
@@ -54,9 +61,116 @@ def test_lll_classic_example():
     assert lattice.hnf(red) == lattice.hnf(rows)
 
 
+def _rational_lll(rows, delta):
+    """LLL with exact rational Gram-Schmidt data, updated in place on a
+    swap; the same loop and the same half-even rounding of mu as
+    lattice.lll_reduce."""
+    b = [list(row) for row in rows]
+    n = len(b)
+    mu, norms = lattice.gram_schmidt_data(b)
+
+    def reduce_row(i, j):
+        if abs(mu[i][j]) > Fraction(1, 2):
+            q = round(mu[i][j])
+            b[i] = [x - q * y for x, y in zip(b[i], b[j])]
+            for l in range(j):
+                mu[i][l] -= q * mu[j][l]
+            mu[i][j] -= q
+
+    i = 1
+    while i < n:
+        reduce_row(i, i - 1)
+        if norms[i] >= (delta - mu[i][i - 1] ** 2) * norms[i - 1]:
+            for j in range(i - 2, -1, -1):
+                reduce_row(i, j)
+            i += 1
+        else:
+            m = mu[i][i - 1]
+            new_norm = norms[i] + m * m * norms[i - 1]
+            mu[i][i - 1] = m * norms[i - 1] / new_norm
+            norms[i] = norms[i - 1] * norms[i] / new_norm
+            norms[i - 1] = new_norm
+            b[i - 1], b[i] = b[i], b[i - 1]
+            for j in range(i - 1):
+                mu[i - 1][j], mu[i][j] = mu[i][j], mu[i - 1][j]
+            for l in range(i + 1, n):
+                t = mu[l][i]
+                mu[l][i] = mu[l][i - 1] - m * t
+                mu[l][i - 1] = t + mu[i][i - 1] * mu[l][i]
+            i = max(i - 1, 1)
+    return tuple(tuple(row) for row in b)
+
+
+@st.composite
+def _independent_bases(draw):
+    r = draw(st.integers(1, 5))
+    bits = draw(st.sampled_from([3, 64, 200]))
+    entry = st.integers(-2**bits, 2**bits)
+    if draw(st.booleans()):
+        # [I | lam * c]: the shape of the relation search's block matrix
+        col = draw(st.lists(entry, min_size=r, max_size=r))
+        return [[int(i == j) for j in range(r)] + [c] for i, c in enumerate(col)]
+    n = draw(st.integers(r, 6))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=r, max_size=r))
+    assume(linalg.rank(rows) == r)
+    return rows
+
+
+@given(_independent_bases(),
+       st.sampled_from([Fraction(51, 100), Fraction(3, 4), Fraction(99, 100)]))
+@settings(max_examples=150, deadline=None)
+def test_integral_lll_matches_rational_reference(rows, delta):
+    red = lattice.lll_reduce(rows, delta)
+    assert red == _rational_lll(rows, delta)
+    assert lattice.is_lll_reduced(red, delta)
+
+
+def test_lll_rounds_half_integers_to_even():
+    # mu = 5/2 rounds to 2, as round() does: (5, 1) - 2 (2, 0) = (1, 1);
+    # rounding up to 3 would give (-1, 1) and the output ((-1, 1), (1, 1))
+    assert lattice.lll_reduce([(2, 0), (5, 1)]) == ((1, 1), (1, -1))
+    # mu = 7/2 rounds up to 4, giving (-1, 1); mu = -5/2 rounds to -2,
+    # giving (-1, 1) as well
+    assert lattice.lll_reduce([(2, 0), (7, 1)]) == ((-1, 1), (1, 1))
+    assert lattice.lll_reduce([(2, 0), (-5, 1)]) == ((-1, 1), (1, 1))
+    rng = random.Random(59)
+    for _ in range(300):
+        r = rng.randint(2, 4)
+        rows = _random_basis(rng, r, rng.randint(r, 4), -3, 3)
+        rows[0] = [2 * x for x in rows[0]]  # even entries make mu often a half-integer
+        assert lattice.lll_reduce(rows) == _rational_lll(rows, Fraction(3, 4))
+
+
+DEPENDENT = [
+    [(1, 2), (2, 4)],
+    [(0, 0, 0), (1, 2, 3)],  # zero row first
+    [(1, 2, 3), (0, 0, 0)],  # zero row last
+    [(1, 0, 2, 1), (0, 1, 1, 1), (3, 1, 4, 1), (4, 2, 7, 3)],  # only the last row
+    [(1, 0), (0, 1), (1, 1)],  # more rows than columns
+]
+
+
 def test_lll_rejects_dependent_rows():
-    with pytest.raises(ValueError):
-        lattice.lll_reduce([(1, 2), (2, 4)])
+    for rows in DEPENDENT:
+        with pytest.raises(ValueError, match="linearly independent"):
+            lattice.lll_reduce(rows)
+
+
+def test_cli_lll_rejects_dependent_rows_under_optimisation():
+    # python -O strips asserts: the check must be an explicit error
+    src = os.path.dirname(os.path.dirname(alghull.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-m", "alghull.cli", "lll", "-"],
+                          input=json.dumps(DEPENDENT[3]), capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 2
+    assert "linearly independent" in done.stderr
+
+
+def test_lll_rejects_ragged_rows():
+    for rows in ([(3, 0, 0), (5, 1)], [(1, 0), (0, 1, 0)], [(1,), ()]):
+        with pytest.raises(ValueError, match="equal length"):
+            lattice.lll_reduce(rows)
 
 
 def test_lll_delta_domain():

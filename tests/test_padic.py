@@ -5,9 +5,14 @@ f(root) = 0 mod p^k, and raising the precision refines the same labeled
 roots (labels are assigned from sorted residues, so they are stable).
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from alghull import padic
+import alghull
+from alghull import gf, padic
 from alghull.relations import ExponentPolynomial, proven_precision
 
 F_QUAD = (-2, 0, 1)  # x^2 - 2
@@ -83,6 +88,74 @@ def test_increase_precision_is_consistent():
         assert a.coeffs == b.coeffs
     for r in high.roots:
         assert padic.valuation(padic._eval_int_poly(F_QUARTIC, r)) >= 24
+
+
+def test_increase_precision_inverts_once_per_root(monkeypatch):
+    calls = []
+    inverse = padic.PadicElement.inverse
+
+    def counting(self):
+        calls.append(self.ring.k)
+        return inverse(self)
+
+    monkeypatch.setattr(padic.PadicElement, "inverse", counting)
+    low = padic.lift_roots(F_QUARTIC, padic.build_unramified(5, 4, 1))
+    calls.clear()
+    high = padic.increase_precision(low, 64)  # six doubling steps
+    assert calls == [1] * 4
+    for r in high.roots:
+        assert padic.valuation(padic._eval_int_poly(F_QUARTIC, r)) >= 64
+
+
+def test_build_unramified_tests_omega_once(monkeypatch):
+    tested = []
+    rabin = gf.gf_is_irreducible
+
+    def counting(f, p):
+        tested.append(tuple(f))
+        return rabin(f, p)
+
+    monkeypatch.setattr(gf, "gf_is_irreducible", counting)
+    omega = gf.find_irreducible(5, 4, seed=2)
+    searched = list(tested)
+    assert searched[-1] == omega
+    tested.clear()
+    assert padic.build_unramified(5, 4, 3, seed=2).omega == omega
+    assert tested == searched  # the search's test only
+    tested.clear()
+    padic.UnramifiedRing(5, 3, omega)  # a caller's own omega is still tested
+    assert tested == [omega]
+    with pytest.raises(padic.PadicError, match="reducible"):
+        padic.UnramifiedRing(5, 3, (1, 0, 1))  # x^2 + 1 = (x - 2)(x + 2) mod 5
+
+
+def test_ring_construction_rejects_composite_p():
+    for p in (9, 4, 1):
+        with pytest.raises(padic.PadicError, match="not a prime"):
+            padic.build_unramified(p, 3, 3)
+    with pytest.raises(padic.PadicError, match="not a prime"):
+        padic.UnramifiedRing(9, 3, (1, 0, 0, 1))
+
+
+def test_irreducible_search_is_bounded():
+    # over Z/4 no candidate passes Rabin's test; the search used to loop forever
+    code = (
+        "from alghull import gf, padic\n"
+        "for call in (lambda: gf.find_irreducible(4, 2, seed=3),\n"
+        "             lambda: padic.build_unramified(4, 2, 3)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(alghull.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "no irreducible polynomial of degree 2 over F_4 among 400 candidates",
+        "4 is not a prime",
+    ]
 
 
 def test_labels_are_sorted_residues():
