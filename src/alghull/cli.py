@@ -123,7 +123,6 @@ def _common(f):
     f = click.option("--seed", type=int, default=None)(f)
     f = click.option("--out", type=click.Path(), default=None,
                      help="write JSON here instead of standard output")(f)
-    f = click.option("--verbose", is_flag=True)(f)
     return f
 
 
@@ -140,8 +139,7 @@ def main():
 @click.option("--delta", default="3/4", help="LLL parameter")
 @click.option("--group-order", type=int, default=None,
               help="known Galois group order (tightens the degree bound)")
-def cmd_hull(source, mode, prime, seed, out, verbose, group_path, delta,
-             group_order):
+def cmd_hull(source, mode, prime, seed, out, group_path, delta, group_order):
     """Algebraic hull of a matrix or a Lie algebra of matrices."""
 
     def go():
@@ -185,8 +183,7 @@ def cmd_hull(source, mode, prime, seed, out, verbose, group_path, delta,
 @_common
 @click.option("--group", "group_path", type=click.Path(exists=True), default=None)
 @click.option("--group-order", type=int, default=None)
-def cmd_relations(source, mode, prime, seed, out, verbose, group_path,
-                  group_order):
+def cmd_relations(source, mode, prime, seed, out, group_path, group_order):
     """Z-basis of the integer relation lattice of the targets."""
 
     def go():
@@ -231,7 +228,7 @@ def cmd_relations(source, mode, prime, seed, out, verbose, group_path,
 @click.argument("source", required=False)
 @_common
 @click.option("--group-order", type=int, default=None)
-def cmd_iszero(source, mode, prime, seed, out, verbose, group_order):
+def cmd_iszero(source, mode, prime, seed, out, group_order):
     """Provably decide whether a target expression in the roots is zero."""
 
     def go():

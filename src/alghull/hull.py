@@ -60,7 +60,11 @@ def hull_semisimple(x, mode: str = "proven", route: str = "lll",
     to powers of X.
     """
     x = matrices.as_matrix(x)
-    mp = matrices.min_poly(x)
+    return _hull_semisimple(x, matrices.min_poly(x), mode, route, group, config)
+
+
+def _hull_semisimple(x, mp, mode, route, group, config) -> HullResult:
+    """hull_semisimple for a matrix X whose minimal polynomial is mp."""
     if pol.degree(pol.squarefree_part(mp)) != pol.degree(mp):
         raise ValueError(
             "matrix is not semisimple; use hull_matrix for the general case"
@@ -129,14 +133,17 @@ def hull_matrix(x, mode: str = "proven", route: str = "lll",
                 group=None, **config) -> HullResult:
     """Hull of span{X} for arbitrary square X over Q."""
     x = matrices.as_matrix(x)
-    s, n_part = matrices.jordan_decomposition(x)
+    # One minimal polynomial serves both parts: that of S is the squarefree
+    # part of that of X.
+    mp = matrices.min_poly(x)
+    s, n_part = matrices._jordan_decomposition(x, mp)
     if matrices.is_zero_matrix(n_part):
-        return hull_semisimple(x, mode=mode, route=route, group=group, **config)
+        return _hull_semisimple(x, mp, mode, route, group, config)
     if matrices.is_zero_matrix(s):
         span = matrices.MatrixSpan([n_part], n=len(x))
         return HullResult(span, "proven", "relation-based",
                           witnesses={"nilpotent_part": True})
-    semi = hull_semisimple(s, mode=mode, route=route, group=group, **config)
+    semi = _hull_semisimple(s, pol.squarefree_part(mp), mode, route, group, config)
     span = matrices.span_sum(semi.span, matrices.MatrixSpan([n_part], n=len(x)))
     return HullResult(span, semi.certification, semi.route,
                       witnesses=dict(semi.witnesses, nilpotent_part=True))
@@ -262,9 +269,8 @@ def closed_form_deg6(f, assert_group: bool = False) -> OracleHull:
     if not assert_group:
         raise ValueError("closed form needs the caller to assert the group condition")
     f = _require_irreducible(f, 6)
-    a, b, c, d, e = f[5], f[4], f[3], f[2], f[1]
-    r1 = c + Fraction(5, 27) * (a**3 - Fraction(18, 5) * a * b)
-    r2 = e - Fraction(a**5, 81) + Fraction(a**3 * b, 27) - Fraction(a * d, 3)
+    a = f[5]
+    r1, r2 = sextic_invariants(f)
     if r1 == 0 and r2 == 0:
         return OracleHull(
             "span",

@@ -153,22 +153,22 @@ def char_poly(x: Mat):
 
 
 def min_poly(x: Mat):
-    """Monic minimal polynomial via linear dependency of I, X, X^2, ..."""
+    """Monic minimal polynomial: the first power X^(t+1) that lies in the
+    span of I, X, ..., X^t, written in terms of them (a Krylov loop with
+    one reduction per power)."""
     if not is_square(x):
         raise DimensionError("minimal polynomial needs a square matrix")
     n = len(x)
     if n == 0:
         return (1,)
-    powers = [identity(n)]
-    rows = [flatten(powers[0])]
+    powers = linalg.Echelon(n * n, track=True)
+    power = identity(n)
     while True:
-        nxt = mat_mul(powers[-1], x)
-        coeffs = linalg.solve_combination(rows, flatten(nxt))
+        coeffs = powers.express_or_add(flatten(power))
         if coeffs is not None:
-            # X^t+1 = sum c_i X^i  ->  min poly = x^(t+1) - sum c_i x^i
+            # X^(t+1) = sum c_i X^i  ->  min poly = x^(t+1) - sum c_i x^i
             return tuple(-c for c in coeffs) + (Fraction(1),)
-        powers.append(nxt)
-        rows.append(flatten(nxt))
+        power = mat_mul(power, x)
 
 
 def squarefree_part(f):
@@ -195,8 +195,12 @@ def jordan_decomposition(x: Mat) -> tuple[Mat, Mat]:
     """
     if not is_square(x):
         raise DimensionError("Jordan decomposition needs a square matrix")
+    return _jordan_decomposition(x, min_poly(x))
+
+
+def _jordan_decomposition(x: Mat, mp) -> tuple[Mat, Mat]:
+    """jordan_decomposition for a square X whose minimal polynomial is mp."""
     n = len(x)
-    mp = min_poly(x)
     g = pol.squarefree_part(mp)
     if pol.degree(g) == pol.degree(mp):
         return x, zero(n)
@@ -234,22 +238,45 @@ def lie_bracket(a: Mat, b: Mat) -> Mat:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
+def _ambient_dimension(mats: list, n: int | None) -> int:
+    if not mats:
+        if n is None:
+            raise DimensionError("empty span needs an explicit ambient dimension")
+        return n
+    m = len(mats[0])
+    if n is not None and n != m:
+        raise DimensionError(f"span elements are {m} x {m}, not {n} x {n}")
+    if any(len(a) != m or not is_square(a) for a in mats):
+        raise DimensionError("span elements must be square and equally sized")
+    return m
+
+
 class MatrixSpan:
-    """A Q-span of n x n matrices, stored as a linearly independent basis."""
+    """A Q-span of n x n matrices, stored as a linearly independent basis
+    together with the echelon basis of its flattened elements."""
 
     def __init__(self, mats: Iterable[Mat], n: int | None = None):
         mats = [as_matrix(m) for m in mats]
-        if mats:
-            n = len(mats[0])
-            if any(len(m) != n or not is_square(m) for m in mats):
-                raise DimensionError("span elements must be square and equally sized")
-        elif n is None:
-            raise DimensionError("empty span needs an explicit ambient dimension")
-        rows = [flatten(m) for m in mats]
-        if linalg.rank(rows) != len(rows):
+        n = _ambient_dimension(mats, n)
+        echelon = linalg.Echelon(n * n)
+        if not all(echelon.add(flatten(m)) for m in mats):
             raise ValueError("span basis is linearly dependent")
         self.n = n
         self.basis = tuple(mats)
+        self._echelon = echelon
+
+    def _extended(self, mats: Iterable[Mat]) -> "MatrixSpan":
+        """This span plus the matrices (of the right shape) outside it, in
+        order; the basis is this basis followed by the matrices kept."""
+        echelon = self._echelon.copy()
+        kept = tuple(m for m in mats if echelon.add(flatten(m)))
+        if not kept:
+            return self
+        new = MatrixSpan.__new__(MatrixSpan)
+        new.n = self.n
+        new.basis = self.basis + kept
+        new._echelon = echelon
+        return new
 
     @property
     def dim(self) -> int:
@@ -257,9 +284,9 @@ class MatrixSpan:
 
     def contains(self, a: Mat) -> bool:
         a = as_matrix(a)
-        if len(a) != self.n:
+        if len(a) != self.n or not is_square(a):
             raise DimensionError("dimension mismatch")
-        return linalg.in_rowspace([flatten(m) for m in self.basis], flatten(a))
+        return self._echelon.contains(flatten(a))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixSpan):
@@ -267,7 +294,7 @@ class MatrixSpan:
         return (
             self.n == other.n
             and self.dim == other.dim
-            and all(self.contains(m) for m in other.basis)
+            and all(self._echelon.contains(flatten(m)) for m in other.basis)
         )
 
     def __hash__(self):
@@ -277,24 +304,14 @@ class MatrixSpan:
 def span_of(mats: Iterable[Mat], n: int | None = None) -> MatrixSpan:
     """Span of arbitrary (possibly dependent) matrices."""
     mats = [as_matrix(m) for m in mats]
-    if mats:
-        n = len(mats[0])
-    elif n is None:
-        raise DimensionError("empty span needs an explicit ambient dimension")
-    basis: list[Mat] = []
-    rows: list[tuple] = []
-    for m in mats:
-        v = flatten(m)
-        if not linalg.in_rowspace(rows, v):
-            basis.append(m)
-            rows.append(v)
-    return MatrixSpan(basis, n=n)
+    n = _ambient_dimension(mats, n)
+    return MatrixSpan([], n=n)._extended(mats)
 
 
 def span_sum(s1: MatrixSpan, s2: MatrixSpan) -> MatrixSpan:
     if s1.n != s2.n:
         raise DimensionError("dimension mismatch")
-    return span_of(list(s1.basis) + list(s2.basis), n=s1.n)
+    return s1._extended(s2.basis)
 
 
 def span_intersect(s1: MatrixSpan, s2: MatrixSpan) -> MatrixSpan:
@@ -311,12 +328,11 @@ def bracket_closure(s: MatrixSpan) -> MatrixSpan:
     """Smallest Lie subalgebra of gl(n, Q) containing the span."""
     current = s
     while True:
-        extra = []
-        for i in range(current.dim):
-            for j in range(i + 1, current.dim):
-                br = lie_bracket(current.basis[i], current.basis[j])
-                if not current.contains(br):
-                    extra.append(br)
-        if not extra:
+        basis = current.basis
+        nxt = current._extended(
+            lie_bracket(basis[i], basis[j])
+            for i in range(len(basis)) for j in range(i + 1, len(basis))
+        )
+        if nxt is current:
             return current
-        current = span_of(list(current.basis) + extra, n=current.n)
+        current = nxt

@@ -132,6 +132,14 @@ def test_input_error_exit_code():
     assert result.exit_code == 2
 
 
+def test_verbose_flag_is_gone():
+    payload = json.dumps({"matrix": [[0, 2], [1, 0]]})
+    for command in ("hull", "relations", "iszero"):
+        result = runner.invoke(main, [command, "-", "--verbose"], input=payload)
+        assert result.exit_code == 2, command
+        assert "--verbose" in result.output
+
+
 def test_deterministic_output():
     payload = json.dumps({"matrix": [[0, 2], [1, 0]], "seed": 0})
     a = json.loads(_invoke(["hull", "-"], stdin=payload).output)

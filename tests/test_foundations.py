@@ -92,12 +92,32 @@ def test_rref_and_rank():
     assert not linalg.in_rowspace(rows, (0, 0, 1))
 
 
-def test_solve_combination_roundtrip():
-    rows = [(1, 0, 2), (0, 1, 1)]
+def test_echelon_combination_roundtrip():
+    basis = linalg.Echelon(3, track=True)
+    assert basis.express_or_add((1, 0, 2)) is None
+    assert basis.express_or_add((0, 1, 1)) is None
     v = (3, -2, 4)  # 3*r0 - 2*r1
-    coeffs = linalg.solve_combination(rows, v)
-    assert coeffs == (3, -2)
-    assert linalg.solve_combination(rows, (0, 0, 1)) is None
+    assert basis.express_or_add(v) == (3, -2)
+    assert basis.reduce(v) == (0, 0, 0)
+    assert basis.express_or_add((0, 0, 1)) is None  # kept: outside the span
+    assert len(basis) == 3
+
+
+def test_echelon_rows_are_echelon():
+    basis = linalg.Echelon(4)
+    assert basis.add((0, 2, 4, 6))
+    assert not basis.add((0, 1, 2, 3))
+    assert not basis.add((0, 0, 0, 0))
+    assert basis.add((1, 1, 0, 0))
+    copy = basis.copy()
+    assert copy.add((0, 0, 0, 5))
+    assert len(basis) == 2 and len(copy) == 3
+    # the residual is zero at every pivot (columns 1 and 0)
+    assert basis.reduce((7, 3, 0, 1)) == (0, 0, 8, 13)
+    with pytest.raises(ValueError):
+        basis.add((1, 2, 3))
+    with pytest.raises(ValueError):
+        linalg.in_rowspace([(1, 0, 0), (0, 1)], (0, 0, 1))
 
 
 def test_right_kernel_property():
@@ -237,3 +257,15 @@ def test_matrix_span_basics():
         matrices.span_of([matrices.identity(2)]),
     )
     assert inter.dim == 1
+
+
+def test_matrix_span_rejects_shape_mismatches():
+    span = matrices.MatrixSpan([[[1, 0], [0, 0]]])
+    with pytest.raises(matrices.DimensionError):
+        span.contains([[1, 0, 0], [0, 0, 0]])  # 2 x 3, same first row
+    with pytest.raises(matrices.DimensionError):
+        span.contains([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    with pytest.raises(matrices.DimensionError):
+        matrices.MatrixSpan([[[1, 0], [0, 0]]], n=3)
+    with pytest.raises(matrices.DimensionError):
+        matrices.span_of([[[1, 0], [0, 0]]], n=3)
