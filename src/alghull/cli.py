@@ -75,11 +75,7 @@ def _parse_target(terms) -> rel.ExponentPolynomial:
 
 
 def _parse_group(path, degree):
-    perms = _read_json(path)
-    gens = []
-    for images in perms:
-        gens.append(tuple(int(i) - 1 for i in images))
-    return galois_mod.PermGroup(degree, gens)
+    return galois_mod.PermGroup.from_images(degree, _read_json(path))
 
 
 def _bounds_json(b: rel.BoundData):
@@ -89,14 +85,16 @@ def _bounds_json(b: rel.BoundData):
     }
 
 
-def _prime_and_seed(data, prime, seed):
-    """The working prime (None for automatic) and seed: the command-line
-    option when given, else the input's "prime"/"seed" keys."""
+def _settings(data, mode, prime, seed):
+    """The mode, working prime (None for automatic) and seed: each the
+    command-line option when given, else the input's "mode"/"prime"/"seed"
+    key."""
+    mode = mode or data.get("mode", "proven")
     prime = prime if prime is not None else data.get("prime")
     if prime == "auto":
         prime = None
     seed = seed if seed is not None else data.get("seed", 0)
-    return prime, seed
+    return mode, prime, seed
 
 
 class InputError(click.ClickException):
@@ -144,8 +142,7 @@ def cmd_hull(source, mode, prime, seed, out, group_path, delta, group_order):
 
     def go():
         data = _read_json(source)
-        mode_ = mode or data.get("mode", "proven")
-        prime_, seed_ = _prime_and_seed(data, prime, seed)
+        mode_, prime_, seed_ = _settings(data, mode, prime, seed)
         cfg = dict(mode=mode_, prime=prime_, seed=seed_,
                    delta=Fraction(str(delta)), group_order=group_order)
         t0 = time.perf_counter()
@@ -190,17 +187,14 @@ def cmd_relations(source, mode, prime, seed, out, group_path, group_order):
         data = _read_json(source)
         f = _parse_poly(data["poly"])
         targets = rel.TargetSet(f, tuple(_parse_target(t) for t in data["targets"]))
-        mode_ = mode or data.get("mode", "proven")
-        prime_, seed_ = _prime_and_seed(data, prime, seed)
+        mode_, prime_, seed_ = _settings(data, mode, prime, seed)
         t0 = time.perf_counter()
         gp = group_path or data.get("group")
         if gp:
             if isinstance(gp, str):
                 group = _parse_group(gp, len(f) - 1)
             else:
-                group = galois_mod.PermGroup(
-                    len(f) - 1, [tuple(int(i) - 1 for i in im) for im in gp]
-                )
+                group = galois_mod.PermGroup.from_images(len(f) - 1, gp)
             basis = rel.find_relations_galois(
                 targets, group, mode=mode_, prime=prime_,
                 group_order=group_order, seed=seed_)
@@ -235,8 +229,7 @@ def cmd_iszero(source, mode, prime, seed, out, group_order):
         data = _read_json(source)
         f = _parse_poly(data["poly"])
         g = _parse_target(data["target"])
-        mode_ = mode or data.get("mode", "proven")
-        prime_, seed_ = _prime_and_seed(data, prime, seed)
+        mode_, prime_, seed_ = _settings(data, mode, prime, seed)
         kw = {}
         if mode_ == "heuristic":
             kw["k"] = int(data.get("k", 4))
@@ -314,30 +307,6 @@ cmd_oracle_deg4 = _oracle_cmd("oracle-deg4", 4, hull_mod.closed_form_deg4)
 cmd_oracle_deg6 = _oracle_cmd("oracle-deg6", 6, hull_mod.closed_form_deg6)
 
 
-def _corpus_group(entry, f, seed):
-    """Build the permutation group an entry requests for the galois route."""
-    kind = entry.get("group_kind", "frobenius")
-    ctx = padic.root_context(f, prefer="max", seed=seed)
-    roots = ctx.roots(8)
-    if kind == "frobenius":
-        g = galois_mod.PermGroup.frobenius(roots)
-    elif kind == "radical":
-        g = galois_mod.radical_group(roots)
-    elif kind == "pairing":
-        g = galois_mod.pairing_group(roots)
-    elif kind == "power":
-        g = galois_mod.power_group(roots, entry["exponents"])
-    elif kind == "explicit":
-        g = galois_mod.PermGroup(
-            len(f) - 1, [tuple(int(i) - 1 for i in im) for im in entry["group"]]
-        )
-    else:
-        raise ValueError(f"unknown group_kind {kind!r}")
-    if g is None:
-        raise ValueError(f"could not build a {kind} group for this entry")
-    return g, ctx.p
-
-
 @main.command("bench")
 @click.argument("corpus", type=click.Path(exists=True))
 @click.option("--mode", type=click.Choice(["proven", "heuristic"]), default="proven")
@@ -371,10 +340,13 @@ def cmd_bench(corpus, mode, seed, out, plot_data):
                     res = hull_mod.hull_matrix(
                         x, mode=mode, route="lll", group_order=go, seed=seed)
                 else:
-                    group, p = _corpus_group(entry, f, seed)
+                    ctx = padic.root_context(f, prefer="max", seed=seed)
+                    group = galois_mod.group_of_kind(
+                        entry.get("group_kind", "frobenius"), ctx.roots(8),
+                        entry.get("exponents"), entry.get("group"))
                     res = hull_mod.hull_matrix(
                         x, mode=mode, route="galois", group=group,
-                        prime=p, group_order=go, seed=seed)
+                        prime=ctx.p, group_order=go, seed=seed)
                 elapsed = time.perf_counter() - t0
                 expected = entry.get("expected_dim")
                 ok = expected is None or res.dim == expected

@@ -66,6 +66,11 @@ class PermGroup:
                    provenance="frobenius")
 
     @classmethod
+    def from_images(cls, degree: int, images) -> "PermGroup":
+        """Group generated by 1-indexed one-line images (the CLI format)."""
+        return cls(degree, [tuple(int(i) - 1 for i in im) for im in images])
+
+    @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
         return cls(degree, [])
 
@@ -318,6 +323,34 @@ def power_group(roots: "padic.ApproxRoots", exponents) -> "PermGroup | None":
             return None
         gens.append(g)
     return PermGroup(len(roots.roots), gens, provenance="user-supplied")
+
+
+def group_of_kind(kind: str, roots: "padic.ApproxRoots", exponents=None,
+                  images=None) -> PermGroup:
+    """The permutation group of the named kind on labeled roots:
+    "frobenius", "radical", "pairing", "power" (the maps x -> x^u for the
+    given exponents) or "explicit" (generated by 1-indexed one-line
+    images).  Raises ValueError for an unknown kind, a missing argument
+    of its kind, or when the roots do not admit the construction."""
+    if kind == "frobenius":
+        g = PermGroup.frobenius(roots)
+    elif kind == "radical":
+        g = radical_group(roots)
+    elif kind == "pairing":
+        g = pairing_group(roots)
+    elif kind == "power":
+        if exponents is None:
+            raise ValueError("a power group needs exponents")
+        g = power_group(roots, exponents)
+    elif kind == "explicit":
+        if images is None:
+            raise ValueError("an explicit group needs images")
+        g = PermGroup.from_images(len(roots.roots), images)
+    else:
+        raise ValueError(f"unknown group kind {kind!r}")
+    if g is None:
+        raise ValueError(f"could not build a {kind} group on these roots")
+    return g
 
 
 # --------------------------------------------------- irreducible fast path

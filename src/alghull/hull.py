@@ -5,8 +5,10 @@ I, X, ..., X^t by rational constraints coming from the integer relations
 among the eigenvalues: for each relation e, the hull coefficients gamma
 must reproduce every rational dependency among the weighted power sums
 D_i(e) = sum_k e_k a_k^i.  General X splits as S + N (Jordan) with
-hull(X) = hull(S) + span{N}; a Lie algebra is handled by alternating
-bracket closure with hulls of basis elements until stable.
+hull(X) = hull(S) + span{N}.  In characteristic 0 the Lie algebra
+generated by algebraic Lie algebras is algebraic (Chevalley; Borel,
+*Linear Algebraic Groups* §7), so the hull of a Lie algebra is the
+bracket closure of the hulls of a basis of its generators' span.
 """
 
 from __future__ import annotations
@@ -33,6 +35,14 @@ class HullResult:
         return self.span.dim
 
 
+def _check_options(mode, route):
+    """Reject an unknown mode or route before any work: some inputs (a
+    nilpotent X, zero generators) never reach the relation search."""
+    rel.check_mode(mode)
+    if route not in ("lll", "galois"):
+        raise ValueError(f"unknown route {route!r}")
+
+
 def _relation_basis(targets, route, group, mode="proven", prime=None, seed=0,
                     delta=Fraction(3, 4), group_order=None):
     if route == "galois":
@@ -43,8 +53,6 @@ def _relation_basis(targets, route, group, mode="proven", prime=None, seed=0,
             targets, group, mode=mode, prime=prime,
             group_order=group_order, seed=seed,
         )
-    if route != "lll":
-        raise ValueError(f"unknown route {route!r}")
     return rel.find_relations_lll(
         targets, mode=mode, prime=prime,
         group_order=group_order, seed=seed, delta=delta,
@@ -59,6 +67,7 @@ def hull_semisimple(x, mode: str = "proven", route: str = "lll",
     X (scaling leaves the hull unchanged) and the answer is mapped back
     to powers of X.
     """
+    _check_options(mode, route)
     x = matrices.as_matrix(x)
     return _hull_semisimple(x, matrices.min_poly(x), mode, route, group, config)
 
@@ -132,6 +141,7 @@ def _hull_semisimple(x, mp, mode, route, group, config) -> HullResult:
 def hull_matrix(x, mode: str = "proven", route: str = "lll",
                 group=None, **config) -> HullResult:
     """Hull of span{X} for arbitrary square X over Q."""
+    _check_options(mode, route)
     x = matrices.as_matrix(x)
     # One minimal polynomial serves both parts: that of S is the squarefree
     # part of that of X.
@@ -151,41 +161,37 @@ def hull_matrix(x, mode: str = "proven", route: str = "lll",
 
 def hull_lie_algebra(generators: Sequence, mode: str = "proven",
                      route: str = "lll", **config) -> HullResult:
-    """Smallest algebraic Lie algebra containing the span of the
-    generators: alternate bracket closure with hulls of basis elements
-    until the dimension stabilizes."""
+    """Smallest algebraic Lie algebra containing the generators.
+
+    In characteristic 0 the Lie algebra generated by algebraic Lie
+    algebras is algebraic (Chevalley; Borel, *Linear Algebraic Groups*
+    §7).  The Lie algebra generated by hull(y) over a basis y of the
+    generators' span contains the generators and lies in every algebraic
+    Lie algebra that contains them, so it is the hull: one hull_matrix
+    per basis element, then one bracket closure.
+    """
+    _check_options(mode, route)
     gens = [matrices.as_matrix(g) for g in generators]
     if not gens:
         raise ValueError("need at least one generator")
-    n = len(gens[0])
-    current = matrices.bracket_closure(matrices.span_of(gens, n=n))
-    cache: dict = {}
+    base = matrices.span_of(gens, n=len(gens[0]))
+    total = base
     certification = "proven"
-    while True:
-        pieces = [current]
-        for y in current.basis:
-            if y not in cache:
-                res = hull_matrix(y, mode=mode, route=route, **config)
-                if res.certification != "proven":
-                    certification = res.certification
-                cache[y] = res.span
-            pieces.append(cache[y])
-        total = pieces[0]
-        for p in pieces[1:]:
-            total = matrices.span_sum(total, p)
-        nxt = matrices.bracket_closure(total)
-        if nxt.dim == current.dim:
-            return HullResult(current, certification, "relation-based",
-                              witnesses={"hulls_computed": len(cache)})
-        current = nxt
+    for y in base.basis:
+        res = hull_matrix(y, mode=mode, route=route, **config)
+        if res.certification != "proven":
+            certification = res.certification
+        total = matrices.span_sum(total, res.span)
+    return HullResult(matrices.bracket_closure(total), certification,
+                      "relation-based", witnesses={"hulls_computed": base.dim})
 
 
 def is_algebraic(generators: Sequence, mode: str = "proven", **config) -> bool:
-    """True iff the Lie algebra generated by the matrices equals its hull."""
+    """True iff the Lie algebra generated by the matrices equals its hull
+    (the hull contains it, so equal dimensions suffice)."""
     gens = [matrices.as_matrix(g) for g in generators]
-    span = matrices.bracket_closure(matrices.span_of(gens, n=len(gens[0])))
-    result = hull_lie_algebra(gens, mode=mode, **config)
-    return result.dim == span.dim and all(span.contains(b) for b in result.span.basis)
+    hull_dim = hull_lie_algebra(gens, mode=mode, **config).dim
+    return hull_dim == matrices.bracket_closure(matrices.span_of(gens)).dim
 
 
 # ------------------------------------------------------ closed-form oracles

@@ -325,14 +325,18 @@ def span_intersect(s1: MatrixSpan, s2: MatrixSpan) -> MatrixSpan:
 
 
 def bracket_closure(s: MatrixSpan) -> MatrixSpan:
-    """Smallest Lie subalgebra of gl(n, Q) containing the span."""
-    current = s
+    """Smallest Lie subalgebra of gl(n, Q) containing the span.
+
+    Each round brackets, in lexicographic order, only the pairs (i, j)
+    with j beyond the previous round's basis: the brackets of older pairs
+    already lie in the span, so skipping them keeps the same basis."""
+    current, old = s, 0
     while True:
         basis = current.basis
         nxt = current._extended(
             lie_bracket(basis[i], basis[j])
-            for i in range(len(basis)) for j in range(i + 1, len(basis))
+            for i in range(len(basis)) for j in range(max(i + 1, old), len(basis))
         )
         if nxt is current:
             return current
-        current = nxt
+        current, old = nxt, len(basis)

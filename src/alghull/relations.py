@@ -29,6 +29,13 @@ class EscalationExhausted(RuntimeError):
     """The iterative relation search hit its round cap before converging."""
 
 
+def check_mode(mode: str) -> None:
+    """Reject an unknown mode before any work: some inputs (a zero target)
+    never reach the code that branches on it."""
+    if mode not in ("proven", "heuristic"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 # ------------------------------------------------------------------ types
 
 @dataclass(frozen=True)
@@ -197,6 +204,7 @@ def zero_test(
     is certified both ways.  Heuristic mode uses the caller-supplied k
     (required) and the answer is only as good as that precision.
     """
+    check_mode(mode)
     f = tuple(int(c) for c in f)
     ctx = padic.root_context(f, prime, seed=seed)
     sel = ctx.selection
@@ -208,12 +216,10 @@ def zero_test(
     k_proven = proven_precision(sel.p, sel.f_p, m, r)
     if mode == "proven":
         k_use = k_proven
-    elif mode == "heuristic":
+    else:
         if k is None:
             raise ValueError("heuristic mode needs an explicit precision k")
         k_use = min(int(k), k_proven)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     value = padic.eval_target(g, ctx.roots(k_use))
     answer = padic.valuation(value) >= k_use
     bounds = BoundData(m_prime, m, r, 1, k_use, 1, sel.p, sel.f_p)
@@ -302,6 +308,7 @@ def find_relations_lll(
     and whose leading block stays under the size threshold are exactly a
     generating set of Lambda; each is re-verified independently anyway.
     """
+    check_mode(mode)
     ctx = padic.root_context(targets.f, prime, seed=seed)
     sel = ctx.selection
     s = targets.s
@@ -329,8 +336,6 @@ def find_relations_lll(
         final = pass_at(k_proven)
         bounds = BoundData(m_prime, m, r, n_bound, k_proven, lam, sel.p, sel.f_p)
         return RelationBasis(tuple(final), "proven", bounds)
-    if mode != "heuristic":
-        raise ValueError(f"unknown mode {mode!r}")
 
     k = min(max(1, math.ceil(1.5 * math.log(max(n_bound, 2)) / math.log(sel.p))),
             k_proven)
@@ -414,6 +419,7 @@ def find_relations_galois(
     percent.  The loop exits only when all rows are within the norm
     bound N and each passes the proven zero test.
     """
+    check_mode(mode)
     n = len(targets.f) - 1
     if group.degree != n:
         raise ValueError("group degree must equal deg f")
@@ -423,10 +429,8 @@ def find_relations_galois(
     m_prime, m, r, n_bound = _shared_bounds(targets, group_order)
     if mode == "proven":
         k = max(2, math.ceil(math.log(2 * max(n_bound, 2) ** 4) / math.log(sel.p)))
-    elif mode == "heuristic":
-        k = max(2, math.ceil(1.5 * math.log(max(n_bound, 2)) / math.log(sel.p)))
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        k = max(2, math.ceil(1.5 * math.log(max(n_bound, 2)) / math.log(sel.p)))
 
     subset = galois_mod.initial_subset(n)
     validated = False

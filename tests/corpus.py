@@ -51,17 +51,5 @@ def roots_for(entry: Entry, k: int = 8, seed: int = 0):
 
 def group_for(entry: Entry, seed: int = 0):
     """Permutation group for the entry, built from labeled roots."""
-    roots = roots_for(entry, seed=seed)
-    if entry.group_kind == "frobenius":
-        g = galois.PermGroup.frobenius(roots)
-    elif entry.group_kind == "radical":
-        g = galois.radical_group(roots)
-    elif entry.group_kind == "pairing":
-        g = galois.pairing_group(roots)
-    elif entry.group_kind == "power":
-        g = galois.power_group(roots, entry.exponents)
-    else:
-        raise ValueError(entry.group_kind)
-    if g is None:
-        raise RuntimeError(f"group construction failed for {entry.label}")
-    return g
+    return galois.group_of_kind(entry.group_kind, roots_for(entry, seed=seed),
+                                entry.exponents)

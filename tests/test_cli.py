@@ -132,6 +132,21 @@ def test_input_error_exit_code():
     assert result.exit_code == 2
 
 
+def test_unknown_mode_exits_2_before_any_work():
+    # a nilpotent matrix, zero generators and a zero target never reach
+    # the code that branches on the mode
+    for command, payload in (
+        ("hull", {"matrix": [[0, 1], [0, 0]], "mode": "bogus"}),
+        ("hull", {"lie_algebra": [[[0, 0], [0, 0]]], "mode": "bogus"}),
+        ("iszero", {"poly": [-2, 0, 1], "target": [], "mode": "bogus"}),
+        ("relations", {"poly": [-2, 0, 1], "targets": [[[1, [1, 0]]]],
+                       "mode": "bogus"}),
+    ):
+        result = _invoke([command, "-"], stdin=json.dumps(payload))
+        assert result.exit_code == 2, payload
+        assert "unknown mode" in result.output
+
+
 def test_verbose_flag_is_gone():
     payload = json.dumps({"matrix": [[0, 2], [1, 0]]})
     for command in ("hull", "relations", "iszero"):

@@ -116,6 +116,23 @@ def test_power_group():
     assert sorted(p3) == [0, 1, 2, 3]
 
 
+def test_group_of_kind():
+    rad = padic.cached_roots(F_QUARTIC_RAD, 5, 4, 8, 0)
+    cyc = padic.cached_roots(F_QUARTIC_CYC, 3, 2, 8, 0)
+    assert galois.group_of_kind("frobenius", rad).generators == \
+        galois.PermGroup.frobenius(rad).generators
+    assert galois.group_of_kind("radical", rad).order == 8
+    assert galois.group_of_kind("pairing", rad).order == 8
+    assert galois.group_of_kind("power", cyc, (3, 5, 7)).order == 4
+    explicit = galois.group_of_kind("explicit", rad, images=[[2, 3, 4, 1]])
+    assert explicit.generators == ((1, 2, 3, 0),) and explicit.order == 4
+    for kind, args in (("sporadic", ()), ("power", ()), ("explicit", ()),
+                       ("power", ((2,),)), ("pairing", ())):
+        roots = padic.cached_roots((-1, -1, 1), 3, 2, 8, 0) if kind == "pairing" else cyc
+        with pytest.raises(ValueError):
+            galois.group_of_kind(kind, roots, *args)
+
+
 def test_trace_zero_subspace():
     basis = matrices.power_basis(matrices.companion(F_QUARTIC_RAD))
     traces = [matrices.trace(m) for m in basis.basis]

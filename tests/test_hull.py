@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import corpus
 from alghull import galois, hull, matrices
@@ -115,6 +117,18 @@ def test_unknown_route_rejected():
         hull.hull_matrix(matrices.identity(2), route="nonsense")
 
 
+@pytest.mark.parametrize("options", [{"route": "nonsense"}, {"mode": "bogus"},
+                                     {"route": "nonsense", "mode": "bogus"}])
+def test_unknown_options_rejected_before_any_work(options):
+    # a nilpotent X and zero generators never reach the relation search
+    with pytest.raises(ValueError, match="unknown"):
+        hull.hull_matrix([[0, 1], [0, 0]], **options)
+    with pytest.raises(ValueError, match="unknown"):
+        hull.hull_lie_algebra([[[0, 0], [0, 0]]], **options)
+    with pytest.raises(ValueError, match="unknown"):
+        hull.hull_semisimple([[0, 2], [1, 0]], **options)
+
+
 # ------------------------------------------------------------- invariants
 
 def test_hull_invariants_on_small_corpus():
@@ -139,6 +153,100 @@ def test_galois_route_matches_lll_route():
         b = hull.hull_matrix(x, route="galois", group=corpus.group_for(entry),
                              group_order=entry.group_order)
         assert a.span == b.span, entry.label
+
+
+# ---------------------------------------------------- Lie hull differential
+#
+# The reference is the earlier fixpoint: close the generators' span under
+# brackets, add the hull of every basis element of the closure, close again,
+# and stop when the dimension no longer grows.  Its bracket closure brackets
+# every pair of the basis in every round.
+
+
+def _all_pairs_closure(span):
+    current = span
+    while True:
+        basis = current.basis
+        nxt = matrices.span_of(
+            list(basis) + [matrices.lie_bracket(basis[i], basis[j])
+                           for i in range(len(basis))
+                           for j in range(i + 1, len(basis))],
+            n=current.n)
+        if nxt.dim == current.dim:
+            return current
+        current = nxt
+
+
+def _ref_hull_lie_algebra(gens):
+    current = _all_pairs_closure(matrices.span_of(gens))
+    cache = {}
+    certification = "proven"
+    while True:
+        total = current
+        for y in current.basis:
+            if y not in cache:
+                res = hull.hull_matrix(y)
+                if res.certification != "proven":
+                    certification = res.certification
+                cache[y] = res.span
+            total = matrices.span_sum(total, cache[y])
+        nxt = _all_pairs_closure(total)
+        if nxt.dim == current.dim:
+            return current, certification
+        current = nxt
+
+
+@st.composite
+def generator_pairs(draw):
+    """Two 2x2 or 3x3 matrices with entries in [-3, 3]: general, both upper
+    triangular, or a diagonal one and a strictly upper triangular one."""
+    n = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(("general", "upper", "diagonal+nilpotent")))
+    pair = []
+    for k in range(2):
+        m = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                          min_size=n, max_size=n))
+        for i in range(n):
+            for j in range(n):
+                if (kind == "upper" and j < i
+                        or kind == "diagonal+nilpotent" and (j != i if k == 0 else j <= i)):
+                    m[i][j] = 0
+        pair.append(matrices.as_matrix(m))
+    return pair
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(generator_pairs())
+def test_hull_lie_algebra_matches_fixpoint(gens):
+    hull_calls, closures = [], []
+    real_hull, real_closure = hull.hull_matrix, matrices.bracket_closure
+
+    def counted_hull(*args, **kwargs):
+        hull_calls.append(args[0])
+        return real_hull(*args, **kwargs)
+
+    def recorded_closure(span):
+        closed = real_closure(span)
+        closures.append((span, closed))
+        return closed
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hull, "hull_matrix", counted_hull)
+        mp.setattr(matrices, "bracket_closure", recorded_closure)
+        res = hull.hull_lie_algebra(gens)
+    want, certification = _ref_hull_lie_algebra(gens)
+    assert res.span == want
+    assert res.certification == certification
+    # one hull per basis element of the generators' span, nothing more
+    assert len(hull_calls) == matrices.span_of(gens).dim == res.witnesses["hulls_computed"]
+    # bracketing only the new pairs keeps the basis of all-pairs rounds
+    assert [closed for _, closed in closures] == [res.span]
+    for span, closed in closures:
+        assert closed.basis == _all_pairs_closure(span).basis
+    closed = matrices.bracket_closure(matrices.span_of(gens))
+    assert closed.basis == _all_pairs_closure(matrices.span_of(gens)).basis
+    assert hull.is_algebraic(gens) == (closed.dim == res.dim)
 
 
 # ---------------------------------------------------------------- oracles

@@ -222,3 +222,21 @@ def test_frobenius_only_group_can_be_insufficient():
     full = galois.radical_group(roots)
     basis = rel.find_relations_galois(variables(f), full, prime=5, group_order=8)
     assert basis.rank == 2
+
+
+def test_unknown_mode_rejected_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("picked a prime for an unknown mode")
+
+    monkeypatch.setattr(rel.padic, "root_context", no_work)
+    ts = variables((-2, 0, 1))
+    zero = rel.ExponentPolynomial(())
+    calls = (
+        lambda: rel.zero_test(zero, (-2, 0, 1), mode="bogus"),
+        lambda: rel.find_relations_lll(ts, mode="bogus"),
+        lambda: rel.find_relations_galois(
+            ts, rel.galois_mod.PermGroup(2, [(1, 0)]), mode="bogus"),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown mode"):
+            call()
