@@ -152,6 +152,8 @@ def cmd_hull(source, mode, prime, seed, out, group_path, delta, group_order):
             route = "galois" if group is not None else "lll"
             res = hull_mod.hull_matrix(x, route=route, group=group, **cfg)
         elif "lie_algebra" in data:
+            if group_path:
+                raise ValueError("--group needs a single \"matrix\"; a Lie algebra takes none")
             gens = [_parse_matrix(m) for m in data["lie_algebra"]]
             res = hull_mod.hull_lie_algebra(gens, **cfg)
         else:

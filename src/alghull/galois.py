@@ -1,6 +1,6 @@
-"""Permutation actions on labeled p-adic roots, with validation, and the
-closed-form shortcuts for matrices whose characteristic polynomial is
-irreducible (trace criterion).
+"""Permutation actions on labeled p-adic roots, with validation, plus the
+two helpers the closed-form hulls use: the irreducibility test over Q and
+the trace-zero part of a span.
 
 Permutations are 0-indexed tuples of images: sigma maps i to sigma[i].
 """
@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Sequence
 
 import sympy
 
 from . import linalg, matrices, padic
-from . import polynomials as pol
 
 
 def identity_perm(n: int) -> tuple[int, ...]:
@@ -207,16 +205,9 @@ def power_perm(roots: "padic.ApproxRoots", u: int):
     field automorphism permuting the roots; matched at stored precision.
     """
     rs = list(roots.roots)
-    ring = roots.ring
     images = []
     for a in rs:
-        val = ring.one()
-        base, e = a, u
-        while e:
-            if e & 1:
-                val = val * base
-            base = base * base
-            e >>= 1
+        val = a ** u
         j = next((idx for idx, b in enumerate(rs) if (val - b).is_zero()), None)
         if j is None:
             return None
@@ -353,14 +344,7 @@ def group_of_kind(kind: str, roots: "padic.ApproxRoots", exponents=None,
     return g
 
 
-# --------------------------------------------------- irreducible fast path
-
-@dataclass(frozen=True)
-class PermModuleMarkers:
-    """User-supplied structural assertions about the Galois action."""
-
-    two_transitive: bool = False
-
+# ------------------------------------------------- closed-form helpers
 
 def _is_irreducible_over_q(f) -> bool:
     x = sympy.symbols("x")
@@ -371,35 +355,8 @@ def _is_irreducible_over_q(f) -> bool:
 def trace_zero_subspace(basis: matrices.MatrixSpan) -> matrices.MatrixSpan:
     """Elements of the span with trace zero."""
     traces = [matrices.trace(m) for m in basis.basis]
-    kernel = linalg.right_kernel([traces])
-    out = []
-    for gamma in kernel:
-        acc = matrices.zero(basis.n)
-        for c, m in zip(gamma, basis.basis):
-            if c:
-                acc = matrices.mat_add(acc, matrices.mat_scale(m, c))
-        out.append(acc)
-    return matrices.MatrixSpan(out, n=basis.n)
-
-
-def fast_path_hull(x, markers: PermModuleMarkers | None = None):
-    """Hull of span{X} by the trace criterion, when it applies.
-
-    Applies when char_poly(X) is irreducible over Q and either the degree
-    is prime or the caller asserts the Galois group is 2-transitive.  Then
-    the hull is the trace-zero part of the power span of X if Tr(X) = 0,
-    and the full power span otherwise.  Returns None when the
-    preconditions are not met.
-    """
-    x = matrices.as_matrix(x)
-    cp = matrices.char_poly(x)
-    n = pol.degree(cp)
-    if n < 1 or not _is_irreducible_over_q(cp):
-        return None
-    prime_degree = n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
-    if not (prime_degree or (markers is not None and markers.two_transitive)):
-        return None
-    basis = matrices.power_basis(x)
-    if matrices.trace(x) == 0:
-        return trace_zero_subspace(basis)
-    return basis
+    return matrices.MatrixSpan(
+        [matrices.linear_combination(gamma, basis.basis, basis.n)
+         for gamma in linalg.right_kernel([traces])],
+        n=basis.n,
+    )

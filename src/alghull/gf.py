@@ -20,13 +20,6 @@ def gf_normalize(f: Sequence[int], p: int) -> tuple[int, ...]:
     return tuple(c)
 
 
-def gf_add(f, g, p):
-    n = max(len(f), len(g))
-    return gf_normalize(
-        [(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)], p
-    )
-
-
 def gf_sub(f, g, p):
     n = max(len(f), len(g))
     return gf_normalize(
@@ -177,6 +170,11 @@ def find_irreducible(p: int, m: int, seed: int = 0) -> tuple[int, ...]:
 class GFpm:
     """The field GF(p^m) as F_p[t]/(modulus)."""
 
+    # A random shift splits a split squarefree polynomial of degree >= 2
+    # with probability about 1/2; equal-degree splitting gives up after
+    # this many failed trials on one factor.
+    SPLIT_TRIALS = 200
+
     def __init__(self, p: int, modulus: Sequence[int]):
         self.p = p
         self.modulus = gf_normalize(modulus, p)
@@ -308,8 +306,10 @@ class GFpm:
     def roots_of_split_poly(self, f, seed: int = 0) -> list[tuple[int, ...]]:
         """All roots of a squarefree monic polynomial that splits over F.
 
-        Equal-degree splitting with seeded randomness (Las Vegas); for tiny
-        fields falls back to exhaustive search.
+        Equal-degree splitting with seeded randomness (Las Vegas, at most
+        SPLIT_TRIALS random trials per factor); for tiny fields falls back
+        to exhaustive search.  Raises ValueError when f does not split
+        into distinct linear factors.
         """
         f = self.poly_normalize(f)
         n = len(f) - 1
@@ -323,12 +323,13 @@ class GFpm:
                     acc = self.add(self.mul(acc, a), c)
                 if self.is_zero(acc):
                     roots.append(a)
-            if len(roots) != n:
+        else:
+            # f splits into distinct linear factors iff it divides x^q - x
+            x = (self.zero(), self.one())
+            if self.poly_powmod(x, self.q, f) != self.poly_mod(x, f):
                 raise ValueError("polynomial does not split over this field")
-            return roots
-        rng = random.Random((seed, self.p, self.m).__hash__())
-        roots: list[tuple[int, ...]] = []
-        self._split_collect(f, rng, roots)
+            roots = []
+            self._split_collect(f, random.Random((seed, self.p, self.m).__hash__()), roots)
         if len(roots) != n:
             raise ValueError("polynomial does not split over this field")
         return roots
@@ -344,7 +345,7 @@ class GFpm:
             return
         if self.p == 2:  # the exhaustive search covers every field of size <= 4096
             raise ValueError("equal-degree splitting needs an odd characteristic")
-        while True:
+        for _ in range(self.SPLIT_TRIALS):
             a = tuple(rng.randrange(self.p) for _ in range(self.m))
             shifted = ((a), self.one())  # x + a
             h = self.poly_powmod(shifted, (self.q - 1) // 2, f)
@@ -354,6 +355,7 @@ class GFpm:
                 self._split_collect(g, rng, out)
                 self._split_collect(self.poly_divmod(f, g)[0], rng, out)
                 return
+        raise ValueError(f"no split of a degree-{n} factor in {self.SPLIT_TRIALS} random trials")
 
     def _all_elements(self):
         coords = [0] * self.m

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import galois as galois_mod
-from . import lattice, linalg, matrices, padic
+from . import linalg, matrices, padic
 from . import polynomials as pol
 from . import relations as rel
 
@@ -83,9 +83,8 @@ def _hull_semisimple(x, mp, mode, route, group, config) -> HullResult:
     xs = matrices.mat_scale(x, c)
     m = len(f) - 1
     t = m - 1
-    powers = [matrices.identity(len(x))]
-    for _ in range(t):
-        powers.append(matrices.mat_mul(powers[-1], xs))
+    # right_kernel of a zero row is the identity basis: no constraint
+    no_constraint = [(0,) * (t + 1)]
 
     targets1 = rel.TargetSet(f, tuple(rel.ExponentPolynomial.variable(i, m)
                                       for i in range(m)))
@@ -93,34 +92,20 @@ def _hull_semisimple(x, mp, mode, route, group, config) -> HullResult:
                                 mode=mode, **config)
     certification = lam_basis.certification
 
-    if not lam_basis.rows:
-        upsilon = [tuple(Fraction(1) if i == j else Fraction(0) for i in range(t + 1))
-                   for j in range(t + 1)]
-    else:
-        annihilators = []
-        for e in lam_basis.rows:
-            targets2 = rel.TargetSet(
-                f, tuple(rel.ExponentPolynomial.power_sum(e, i) for i in range(t + 1))
-            )
-            me = _relation_basis(targets2, route, group, mode=mode, **config)
-            if me.certification != "proven":
-                certification = me.certification
-            rows = [tuple(Fraction(v) for v in row) for row in me.rows]
-            annihilators.extend(linalg.right_kernel(rows) if rows
-                                else linalg.right_kernel([(0,) * (t + 1)]))
-        if annihilators:
-            upsilon = linalg.right_kernel(annihilators)
-        else:
-            upsilon = [tuple(Fraction(1) if i == j else Fraction(0)
-                             for i in range(t + 1)) for j in range(t + 1)]
+    annihilators = []
+    for e in lam_basis.rows:
+        targets2 = rel.TargetSet(
+            f, tuple(rel.ExponentPolynomial.power_sum(e, i) for i in range(t + 1))
+        )
+        me = _relation_basis(targets2, route, group, mode=mode, **config)
+        if me.certification != "proven":
+            certification = me.certification
+        rows = [tuple(Fraction(v) for v in row) for row in me.rows]
+        annihilators.extend(linalg.right_kernel(rows or no_constraint))
+    upsilon = linalg.right_kernel(annihilators or no_constraint)
 
-    basis = []
-    for gamma in upsilon:
-        acc = matrices.zero(len(x))
-        for g, p in zip(gamma, powers):
-            if g:
-                acc = matrices.mat_add(acc, matrices.mat_scale(p, g))
-        basis.append(acc)
+    powers = matrices.powers(xs, t + 1)
+    basis = [matrices.linear_combination(gamma, powers, len(x)) for gamma in upsilon]
     span = matrices.MatrixSpan(basis, n=len(x))
     # report the coefficient vectors relative to powers of X itself
     upsilon_x = [tuple(Fraction(g) * Fraction(c) ** i for i, g in enumerate(gamma))
@@ -171,6 +156,11 @@ def hull_lie_algebra(generators: Sequence, mode: str = "proven",
     per basis element, then one bracket closure.
     """
     _check_options(mode, route)
+    if config.get("group") is not None:
+        raise ValueError(
+            "hull_lie_algebra takes no group: a permutation group acts on the "
+            "roots of one polynomial, and each basis element has its own"
+        )
     gens = [matrices.as_matrix(g) for g in generators]
     if not gens:
         raise ValueError("need at least one generator")
@@ -212,16 +202,8 @@ class OracleHull:
             return basis
         if self.kind == "trace-zero":
             return galois_mod.trace_zero_subspace(basis)
-        out = []
-        for gamma in self.gammas:
-            acc = matrices.zero(len(x))
-            cur = matrices.identity(len(x))
-            for i, g in enumerate(gamma):
-                if i:
-                    cur = matrices.mat_mul(cur, x)
-                if g:
-                    acc = matrices.mat_add(acc, matrices.mat_scale(cur, Fraction(g)))
-            out.append(acc)
+        powers = matrices.powers(x, max((len(g) for g in self.gammas), default=0))
+        out = [matrices.linear_combination(gamma, powers, len(x)) for gamma in self.gammas]
         return matrices.span_of(out, n=len(x))
 
 

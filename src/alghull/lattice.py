@@ -123,6 +123,30 @@ def is_lll_reduced(rows, delta: Fraction = Fraction(3, 4)) -> bool:
 
 # -------------------------------------------------------------------- HNF
 
+def _echelon_int(m: list[list[int]], ncols: int) -> list[int]:
+    """Bring the first ncols columns of the integer rows m to row echelon
+    form in place, by gcd elimination with unimodular row operations;
+    return the pivot columns (pivot i sits in row i)."""
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(row, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        for i in range(row + 1, len(m)):
+            while m[i][col]:
+                q = m[i][col] // m[row][col]
+                m[i] = [a - q * b for a, b in zip(m[i], m[row])]
+                if m[i][col]:
+                    m[row], m[i] = m[i], m[row]
+        pivots.append(col)
+        row += 1
+        if row == len(m):
+            break
+    return pivots
+
+
 def hnf(rows: Sequence[Sequence[int]]):
     """Row Hermite normal form (zero rows dropped).
 
@@ -133,35 +157,15 @@ def hnf(rows: Sequence[Sequence[int]]):
     m = _int_rows(rows)
     if not m:
         return ()
-    ncols = len(m[0])
-    out = []
-    row = 0
-    for col in range(ncols):
-        # gcd elimination in this column below `row`
-        pivot = None
-        for i in range(row, len(m)):
-            if m[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        for i in range(row + 1, len(m)):
-            while m[i][col]:
-                q = m[i][col] // m[row][col]
-                m[i] = [a - q * b for a, b in zip(m[i], m[row])]
-                if m[i][col]:
-                    m[row], m[i] = m[i], m[row]
+    pivots = _echelon_int(m, len(m[0]))
+    for row, col in enumerate(pivots):
         if m[row][col] < 0:
             m[row] = [-a for a in m[row]]
         for i in range(row):
             q = m[i][col] // m[row][col]
             if q:
                 m[i] = [a - q * b for a, b in zip(m[i], m[row])]
-        row += 1
-        if row == len(m):
-            break
-    return tuple(tuple(r) for r in m[:row])
+    return tuple(tuple(r) for r in m[:len(pivots)])
 
 
 def lattice_eq(rows1, rows2) -> bool:
@@ -181,26 +185,22 @@ def kernel_int(rows: Sequence[Sequence[int]]):
         return ()
     ncols = len(m[0])
     aug = [m[i] + [1 if j == i else 0 for j in range(nrows)] for i in range(nrows)]
-    row = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(row, nrows) if aug[i][col]), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        for i in range(row + 1, nrows):
-            while aug[i][col]:
-                q = aug[i][col] // aug[row][col]
-                aug[i] = [a - q * b for a, b in zip(aug[i], aug[row])]
-                if aug[i][col]:
-                    aug[row], aug[i] = aug[i], aug[row]
-        row += 1
-        if row == nrows:
-            break
-    kernel = [tuple(r[ncols:]) for r in aug[row:] if all(x == 0 for x in r[:ncols])]
-    return tuple(kernel)
+    rank = len(_echelon_int(aug, ncols))
+    return tuple(tuple(r[ncols:]) for r in aug[rank:] if all(x == 0 for x in r[:ncols]))
 
 
 # ------------------------------------------------------------------ Z/p^k
+
+def p_valuation(x: int, p: int) -> int:
+    """Exponent of the prime p in the nonzero integer x."""
+    if x == 0 or p < 2:
+        raise ValueError(f"the {p}-adic valuation of {x} is unbounded")
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
 
 def howell(rows: Sequence[Sequence[int]], p: int, k: int):
     """Howell (strong echelon) form of the row module over Z/p^k.
@@ -221,11 +221,7 @@ def howell(rows: Sequence[Sequence[int]], p: int, k: int):
         best = None
         for i, r in enumerate(work):
             if r[col]:
-                v = 0
-                x = r[col]
-                while x % p == 0:
-                    x //= p
-                    v += 1
+                v = p_valuation(r[col], p)
                 if best is None or v < best[1]:
                     best = (i, v)
         if best is None:

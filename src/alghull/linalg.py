@@ -9,17 +9,15 @@ the residual is zero exactly when the vector lies in the span.
 `track=True` every stored row also carries its coefficients on the vectors
 kept so far, so a vector of the span can be written in terms of them
 (`Echelon.express_or_add`, the Krylov step of `matrices.min_poly`).
-`rank`, `in_rowspace` and every span operation of `matrices` run on it;
-`rref` remains for `right_kernel`.
+`rank`, `in_rowspace` and every span operation of `matrices` run on it.
+`rref` (reduced row echelon form of a whole matrix) serves `right_kernel`
+and `matrices.mat_inverse`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
-
-Vec = tuple
-Rows = list
 
 _ZERO = Fraction(0)
 
@@ -167,14 +165,3 @@ def right_kernel(rows: Sequence[Sequence]) -> list[tuple]:
             v[pj] = -row[fj]
         basis.append(tuple(v))
     return basis
-
-
-def rowspace_intersect(rows1: Sequence[Sequence], rows2: Sequence[Sequence], ncols: int) -> list[tuple]:
-    """Basis of the intersection of two row spaces of Q^ncols."""
-    if not rows1 or not rows2:
-        return []
-    # The annihilator of the intersection is the sum of the annihilators.
-    ann = right_kernel(rows1) + right_kernel(rows2)
-    if not ann:
-        return [tuple(Fraction(1) if i == j else Fraction(0) for i in range(ncols)) for j in range(ncols)]
-    return right_kernel([[a[j] for j in range(ncols)] for a in ann])

@@ -85,21 +85,32 @@ def unflatten(v: Sequence, n: int) -> Mat:
 
 
 def mat_inverse(a: Mat) -> Mat:
-    """Exact inverse by Gauss-Jordan; raises on singular input."""
+    """Exact inverse: the reduced echelon form of [A | I] is [I | A^-1].
+    Raises ZeroDivisionError on singular input."""
     n = len(a)
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(1) if i == k else Fraction(0) for k in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(aug[i][n:]) for i in range(n))
+    reduced, pivots = linalg.rref(
+        [tuple(row) + tuple(1 if i == j else 0 for j in range(n)) for i, row in enumerate(a)]
+    )
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    return tuple(row[n:] for row in reduced)
+
+
+def powers(x: Mat, count: int) -> list[Mat]:
+    """[I, X, ..., X^(count-1)]."""
+    out = [identity(len(x))]
+    for _ in range(count - 1):
+        out.append(mat_mul(out[-1], x))
+    return out
+
+
+def linear_combination(coeffs: Sequence, mats: Sequence[Mat], n: int) -> Mat:
+    """sum(c_i * M_i) over n x n matrices."""
+    acc = zero(n)
+    for c, m in zip(coeffs, mats):
+        if c:
+            acc = mat_add(acc, mat_scale(m, c))
+    return acc
 
 
 def eval_poly(f, x: Mat) -> Mat:
@@ -171,19 +182,9 @@ def min_poly(x: Mat):
         power = mat_mul(power, x)
 
 
-def squarefree_part(f):
-    """Squarefree part of a nonzero polynomial, monic."""
-    return pol.squarefree_part(f)
-
-
 def power_basis(x: Mat) -> "MatrixSpan":
     """[I, X, ..., X^t] with t+1 the degree of the minimal polynomial."""
-    t = pol.degree(min_poly(x)) - 1
-    n = len(x)
-    mats = [identity(n)]
-    for _ in range(t):
-        mats.append(mat_mul(mats[-1], x))
-    return MatrixSpan(mats)
+    return MatrixSpan(powers(x, pol.degree(min_poly(x))))
 
 
 def jordan_decomposition(x: Mat) -> tuple[Mat, Mat]:
@@ -312,16 +313,6 @@ def span_sum(s1: MatrixSpan, s2: MatrixSpan) -> MatrixSpan:
     if s1.n != s2.n:
         raise DimensionError("dimension mismatch")
     return s1._extended(s2.basis)
-
-
-def span_intersect(s1: MatrixSpan, s2: MatrixSpan) -> MatrixSpan:
-    if s1.n != s2.n:
-        raise DimensionError("dimension mismatch")
-    n = s1.n
-    rows1 = [flatten(m) for m in s1.basis]
-    rows2 = [flatten(m) for m in s2.basis]
-    inter = linalg.rowspace_intersect(rows1, rows2, n * n)
-    return MatrixSpan([unflatten(v, n) for v in inter], n=n)
 
 
 def bracket_closure(s: MatrixSpan) -> MatrixSpan:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from . import gf
+from . import gf, lattice
 from . import polynomials as pol
 
 
@@ -75,37 +75,31 @@ def _selection_at(f: Sequence[int], p: int) -> PrimeSelection:
     return PrimeSelection(p, math.lcm(*degs) if degs else 1, degs)
 
 
-def select_prime(
-    f: Sequence[int],
-    search_limit: int = 20,
-    floor: int | None = None,
-    prefer: str = "min",
-    avoid: int = 1,
-) -> PrimeSelection:
-    """Choose a prime among the first `search_limit` admissible ones.
+# select_prime compares the first SEARCH_LIMIT admissible primes above deg f
+# and tries at most 10 * SEARCH_LIMIT candidates, so the scan ends even when
+# few primes (or none) are admissible.
+SEARCH_LIMIT = 20
+
+
+def select_prime(f: Sequence[int], prefer: str = "min") -> PrimeSelection:
+    """Choose a prime among the first SEARCH_LIMIT admissible ones above deg f.
 
     prefer="min" minimizes the splitting degree f_p (ties: smallest p);
     prefer="max" maximizes it, which feeds the Galois-action route more
-    Frobenius columns.  `avoid` excludes divisors of that integer.  At
-    most 10 * search_limit candidate primes are tried, so the scan ends
-    even when few primes (or none) are admissible.
+    Frobenius columns.
     """
-    n = len(f) - 1
-    if floor is None:
-        floor = n + 1
     found: list[PrimeSelection] = []
-    candidates = _primes_from(max(floor, 2))
-    for _ in range(10 * search_limit):
-        if len(found) >= search_limit:
+    candidates = _primes_from(len(f))
+    for _ in range(10 * SEARCH_LIMIT):
+        if len(found) >= SEARCH_LIMIT:
             break
         p = next(candidates)
-        if avoid % p == 0 or not is_admissible(f, p):
-            continue
-        found.append(_selection_at(f, p))
+        if is_admissible(f, p):
+            found.append(_selection_at(f, p))
     if not found:
         raise NoAdmissiblePrime(
             f"no admissible prime for the polynomial among the first "
-            f"{10 * search_limit} candidates"
+            f"{10 * SEARCH_LIMIT} candidates"
         )
     if prefer == "min":
         return min(found, key=lambda s: (s.f_p, s.p))
@@ -249,6 +243,20 @@ class PadicElement:
     __radd__ = __add__
     __rmul__ = __mul__
 
+    def __pow__(self, e: int) -> "PadicElement":
+        """self^e for e >= 0, by square-and-multiply with no product by 1
+        and no squaring past the top bit of e."""
+        if e < 0:
+            raise ValueError("negative exponent")
+        result, base = None, self
+        while True:
+            if e & 1:
+                result = base if result is None else result * base
+            e >>= 1
+            if not e:
+                return self.ring.one() if result is None else result
+            base = base * base
+
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
@@ -290,23 +298,13 @@ def valuation(x, p: int | None = None, k: int | None = None) -> int:
         if p is None:
             raise ValueError("valuation of an integer needs the prime p")
         coeffs = (int(x) % (p**k) if k is not None else int(x),)
-    best = None
-    for c in coeffs:
-        if c == 0:
-            continue
-        v = 0
-        while c % p == 0 and (k is None or v < k):
-            c //= p
-            v += 1
-        if v == 0:
-            return 0
-        best = v if best is None else min(best, v)
-    if best is None:
+    vals = [lattice.p_valuation(c, p) for c in coeffs if c]
+    if not vals:
         # identically zero at the stored precision
         if k is None:
             raise ValueError("valuation of exact zero is unbounded; supply a cap k")
         return k
-    return min(best, k) if k is not None else best
+    return min(min(vals), k) if k is not None else min(vals)
 
 
 # ------------------------------------------------------------------ roots
@@ -348,13 +346,6 @@ def _eval_int_poly(f: Sequence[int], x: PadicElement) -> PadicElement:
     acc = x.ring.zero()
     for c in reversed(f):
         acc = acc * x + x.ring.from_int(c)
-    return acc
-
-
-def _eval_int_poly_residue(field: gf.GFpm, f: Sequence[int], a) -> tuple[int, ...]:
-    acc = field.zero()
-    for c in reversed(f):
-        acc = field.add(field.mul(acc, a), field.from_int(c))
     return acc
 
 
@@ -425,15 +416,7 @@ def eval_target(g, roots: ApproxRoots) -> PadicElement:
         term = ring.from_int(coeff)
         for alpha, e in zip(roots.roots, exps):
             if e:
-                base = alpha
-                ee = e
-                powed = ring.one()
-                while ee:
-                    if ee & 1:
-                        powed = powed * base
-                    base = base * base
-                    ee >>= 1
-                term = term * powed
+                term = term * alpha ** e
         acc = acc + term
     return acc
 

@@ -238,12 +238,10 @@ def _combination(targets: TargetSet, e: Sequence[int]) -> ExponentPolynomial:
     return ExponentPolynomial(tuple(terms))
 
 
-def _verify_rows(rows, targets: TargetSet, prime, group_order, seed) -> bool:
-    return all(
-        is_zero(_combination(targets, e), targets.f, mode="proven",
-                prime=prime, group_order=group_order, seed=seed)
-        for e in rows
-    )
+def _is_proven_relation(e, targets: TargetSet, prime, group_order, seed) -> bool:
+    """Whether sum(e_i g_i) vanishes, by the proven zero test."""
+    return is_zero(_combination(targets, e), targets.f, mode="proven",
+                   prime=prime, group_order=group_order, seed=seed)
 
 
 # -------------------------------------------------------------- LLL route
@@ -325,11 +323,8 @@ def find_relations_lll(
 
     def pass_at(k):
         rows = _lll_extract(targets, ctx, k, lam, threshold_sq, delta)
-        rows = [
-            e for e in rows
-            if is_zero(_combination(targets, e), targets.f, mode="proven",
-                       prime=sel.p, group_order=group_order, seed=seed)
-        ]
+        rows = [e for e in rows
+                if _is_proven_relation(e, targets, sel.p, group_order, seed)]
         return _finalize(rows, delta)
 
     if mode == "proven":
@@ -376,11 +371,7 @@ def _reconstruct_rows(ns_rows, p: int, k: int):
         pivot = next((x for x in row if x), 0)
         if pivot == 0:
             continue
-        a = 0
-        x = pivot
-        while x % p == 0:
-            x //= p
-            a += 1
+        a = lattice.p_valuation(pivot, p)
         if 2 * a >= k:
             continue  # pivot in the top half of the precision: junk
         rec = [lattice.rational_reconstruction(x % mod, mod) for x in row]
@@ -400,6 +391,10 @@ def _reconstruct_rows(ns_rows, p: int, k: int):
     return out
 
 
+# Escalation rounds of find_relations_galois before it gives up.
+MAX_ROUNDS = 60
+
+
 def find_relations_galois(
     targets: TargetSet,
     group: "galois_mod.PermGroup",
@@ -407,7 +402,6 @@ def find_relations_galois(
     prime: int | None = None,
     group_order: int | None = None,
     seed: int = 0,
-    max_rounds: int = 60,
 ) -> RelationBasis:
     """Z-basis of the relation lattice via a permutation action on roots.
 
@@ -435,7 +429,7 @@ def find_relations_galois(
     subset = galois_mod.initial_subset(n)
     validated = False
     stuck = 0
-    for rnd in range(max_rounds):
+    for rnd in range(MAX_ROUNDS):
         roots = ctx.roots(k)
         if not validated:
             for g in group.generators:
@@ -453,7 +447,8 @@ def find_relations_galois(
         if rec is not None:
             final = _finalize(rec, Fraction(3, 4))
             ok = all(max(abs(x) for x in row) <= n_bound for row in final)
-            if ok and _verify_rows(final, targets, sel.p, group_order, seed):
+            if ok and all(_is_proven_relation(e, targets, sel.p, group_order, seed)
+                          for e in final):
                 cert = "proven" if mode == "proven" else "heuristic-verified"
                 bounds = BoundData(m_prime, m, r, n_bound, k, 1, sel.p, sel.f_p)
                 return RelationBasis(tuple(final), cert, bounds,
@@ -469,5 +464,5 @@ def find_relations_galois(
         subset = grown
         k = math.ceil(1.2 * k)
     raise EscalationExhausted(
-        f"relation search did not converge in {max_rounds} rounds (last k={k})"
+        f"relation search did not converge in {MAX_ROUNDS} rounds (last k={k})"
     )

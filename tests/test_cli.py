@@ -51,6 +51,16 @@ def test_hull_group_route(tmp_path):
     assert json.loads(result.output)["dim"] == 1
 
 
+def test_hull_lie_algebra_rejects_group(tmp_path):
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps([[2, 1]]))
+    payload = {"lie_algebra": [[[0, 2], [1, 0]]]}
+    result = runner.invoke(main, ["hull", "-", "--group", str(group)],
+                           input=json.dumps(payload))
+    assert result.exit_code == 2
+    assert "--group" in result.output
+
+
 def test_relations_command():
     payload = {
         "poly": [-2, 0, 1],

@@ -252,11 +252,6 @@ def test_matrix_span_basics():
     assert s.dim == 1
     with pytest.raises(ValueError):
         matrices.MatrixSpan([matrices.identity(2), matrices.identity(2)])
-    inter = matrices.span_intersect(
-        matrices.span_of([matrices.identity(2), matrices.as_matrix([[0, 1], [0, 0]])]),
-        matrices.span_of([matrices.identity(2)]),
-    )
-    assert inter.dim == 1
 
 
 def test_matrix_span_rejects_shape_mismatches():

@@ -1,9 +1,11 @@
 """Permutation groups acting on labeled p-adic roots, the action
-validator, the group constructors, and the trace-criterion fast path.
+validator, the group constructors, the trace-zero subspace, and the
+trace-criterion oracle of the tests.
 """
 
 import pytest
 
+import trace_criterion
 from alghull import galois, matrices, padic
 
 F_QUAD = (-2, 0, 1)
@@ -143,21 +145,23 @@ def test_trace_zero_subspace():
 
 
 def test_fast_path_hull():
+    oracle = trace_criterion.trace_criterion_hull
     # prime degree, irreducible, trace zero: the trace-zero power span
     x = matrices.companion((-1, -1, 0, 0, 0, 1))  # x^5 - x - 1
-    span = galois.fast_path_hull(x)
+    span = oracle(x)
     assert span is not None and span.dim == 4
     assert all(matrices.trace(m) == 0 for m in span.basis)
+    assert span == galois.trace_zero_subspace(matrices.power_basis(x))
     # prime degree, nonzero trace: the full power span
     x = matrices.companion((-1, -1, 1))
-    span = galois.fast_path_hull(x)
+    span = oracle(x)
     assert span is not None and span.dim == 2
-    # reducible characteristic polynomial: fast path does not apply
-    assert galois.fast_path_hull(matrices.identity(2)) is None
+    # reducible characteristic polynomial: the criterion does not apply
+    assert oracle(matrices.identity(2)) is None
     # non-prime degree needs the 2-transitivity assertion
     x4 = matrices.companion((2, 1, 0, 0, 1))  # x^4 + x + 2, irreducible
-    assert galois.fast_path_hull(x4) is None
-    marked = galois.fast_path_hull(x4, galois.PermModuleMarkers(two_transitive=True))
-    # trace is zero (no cubic term), so the asserted fast path gives the
+    assert oracle(x4) is None
+    marked = oracle(x4, two_transitive=True)
+    # trace is zero (no cubic term), so the asserted criterion gives the
     # trace-zero part of the four-dimensional power span
     assert marked is not None and marked.dim == 3

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import corpus
+import trace_criterion
 from alghull import galois, hull, matrices
 
 
@@ -101,6 +102,20 @@ def test_hull_lie_algebra_sl2():
 def test_hull_lie_algebra_needs_generators():
     with pytest.raises(ValueError):
         hull.hull_lie_algebra([])
+
+
+def test_hull_lie_algebra_rejects_a_group_before_any_work(monkeypatch):
+    # One permutation group cannot serve the basis elements' different
+    # minimal polynomials; with one generator the degrees even match, and
+    # the group used to be taken silently.
+    def no_work(*args, **kwargs):
+        raise AssertionError("hull_matrix ran")
+
+    monkeypatch.setattr(hull, "hull_matrix", no_work)
+    group = galois.PermGroup(2, [(1, 0)])
+    for gens in ([[[0, 2], [1, 0]], [[1, 0], [0, 1]]], [[[0, 2], [1, 0]]]):
+        with pytest.raises(ValueError, match="takes no group"):
+            hull.hull_lie_algebra(gens, route="galois", group=group)
 
 
 def test_is_algebraic():
@@ -317,8 +332,12 @@ def test_oracle_materialize():
 
 
 def test_fast_path_agrees_with_relation_hull():
-    # prime-degree irreducible characteristic polynomial, trace zero
-    x = companion((-2, 0, 0, 0, 0, 1))  # x^5 - 2
-    fast = galois.fast_path_hull(x)
-    slow = hull.hull_matrix(x, group_order=20)
-    assert fast is not None and fast == slow.span
+    for poly, group_order, two_transitive in (
+        ((-2, 0, 0, 0, 0, 1), 20, False),  # x^5 - 2: prime degree, trace zero
+        ((-1, -1, 1), 2, False),  # x^2 - x - 1: prime degree, nonzero trace
+        ((2, 1, 0, 0, 1), 24, True),  # x^4 + x + 2: Galois group S4
+    ):
+        x = companion(poly)
+        fast = trace_criterion.trace_criterion_hull(x, two_transitive=two_transitive)
+        slow = hull.hull_matrix(x, group_order=group_order)
+        assert fast is not None and fast == slow.span, poly

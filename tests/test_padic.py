@@ -158,6 +158,33 @@ def test_irreducible_search_is_bounded():
     ]
 
 
+def test_root_splitting_is_bounded():
+    # F_4099 has more than 4096 elements, so roots are found by randomized
+    # splitting, which used to loop forever on x^2 - 2 (2 is not a square
+    # mod 4099).  The split check rejects it; when called directly on an
+    # irreducible factor, the splitting gives up after SPLIT_TRIALS trials.
+    code = (
+        "from alghull import gf, padic\n"
+        "field = gf.GFpm(4099, (0, 1))\n"
+        "two = field.from_int(2)\n"
+        "for call in (lambda: padic.lift_roots((-2, 0, 1), padic.build_unramified(4099, 1, 2)),\n"
+        "             lambda: field._split_collect((field.neg(two), field.zero(), field.one()),\n"
+        "                                          __import__('random').Random(0), [])):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(alghull.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "polynomial does not split over this field",
+        "no split of a degree-2 factor in 200 random trials",
+    ]
+
+
 def test_labels_are_sorted_residues():
     ring = padic.build_unramified(7, 1, 8)
     roots = padic.lift_roots(F_QUAD, ring)
