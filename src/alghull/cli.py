@@ -134,17 +134,15 @@ def main():
 @_common
 @click.option("--group", "group_path", type=click.Path(exists=True), default=None,
               help="permutation group file (enables the permutation route)")
-@click.option("--delta", default="3/4", help="LLL parameter")
 @click.option("--group-order", type=int, default=None,
               help="known Galois group order (tightens the degree bound)")
-def cmd_hull(source, mode, prime, seed, out, group_path, delta, group_order):
+def cmd_hull(source, mode, prime, seed, out, group_path, group_order):
     """Algebraic hull of a matrix or a Lie algebra of matrices."""
 
     def go():
         data = _read_json(source)
         mode_, prime_, seed_ = _settings(data, mode, prime, seed)
-        cfg = dict(mode=mode_, prime=prime_, seed=seed_,
-                   delta=Fraction(str(delta)), group_order=group_order)
+        cfg = dict(mode=mode_, prime=prime_, seed=seed_, group_order=group_order)
         t0 = time.perf_counter()
         if "matrix" in data:
             x = _parse_matrix(data["matrix"])

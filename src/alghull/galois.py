@@ -12,8 +12,6 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-import sympy
-
 from . import linalg, matrices, padic
 
 
@@ -67,10 +65,6 @@ class PermGroup:
     def from_images(cls, degree: int, images) -> "PermGroup":
         """Group generated by 1-indexed one-line images (the CLI format)."""
         return cls(degree, [tuple(int(i) - 1 for i in im) for im in images])
-
-    @classmethod
-    def trivial(cls, degree: int) -> "PermGroup":
-        return cls(degree, [])
 
     def elements(self) -> tuple[tuple[int, ...], ...]:
         if self._elements is None:
@@ -347,6 +341,8 @@ def group_of_kind(kind: str, roots: "padic.ApproxRoots", exponents=None,
 # ------------------------------------------------- closed-form helpers
 
 def _is_irreducible_over_q(f) -> bool:
+    import sympy  # deferred: only the closed-form oracles use it, and it is slow to import
+
     x = sympy.symbols("x")
     expr = sum(sympy.Rational(c) * x**i for i, c in enumerate(f))
     return sympy.Poly(expr, x, domain="QQ").is_irreducible

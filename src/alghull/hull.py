@@ -43,24 +43,21 @@ def _check_options(mode, route):
         raise ValueError(f"unknown route {route!r}")
 
 
-def _relation_basis(targets, route, group, mode="proven", prime=None, seed=0,
-                    delta=Fraction(3, 4), group_order=None):
+def _relation_basis(targets, route, group, mode, config):
+    """Relation search on either route; config holds prime, seed and
+    group_order."""
     if route == "galois":
         if group is None:
-            ctx = padic.root_context(targets.f, prime, prefer="max", seed=seed)
+            ctx = padic.root_context(targets.f, config["prime"], prefer="max",
+                                     seed=config["seed"])
             group = galois_mod.PermGroup.frobenius(ctx.roots(4))
-        return rel.find_relations_galois(
-            targets, group, mode=mode, prime=prime,
-            group_order=group_order, seed=seed,
-        )
-    return rel.find_relations_lll(
-        targets, mode=mode, prime=prime,
-        group_order=group_order, seed=seed, delta=delta,
-    )
+        return rel.find_relations_galois(targets, group, mode=mode, **config)
+    return rel.find_relations_lll(targets, mode=mode, **config)
 
 
-def hull_semisimple(x, mode: str = "proven", route: str = "lll",
-                    group=None, **config) -> HullResult:
+def hull_semisimple(x, mode: str = "proven", route: str = "lll", group=None, *,
+                    prime: int | None = None, seed: int = 0,
+                    group_order: int | None = None) -> HullResult:
     """Hull of span{X} for semisimple X (squarefree minimal polynomial).
 
     The eigenvalue relations are computed for an integer-scaled copy of
@@ -69,6 +66,7 @@ def hull_semisimple(x, mode: str = "proven", route: str = "lll",
     """
     _check_options(mode, route)
     x = matrices.as_matrix(x)
+    config = dict(prime=prime, seed=seed, group_order=group_order)
     return _hull_semisimple(x, matrices.min_poly(x), mode, route, group, config)
 
 
@@ -88,8 +86,7 @@ def _hull_semisimple(x, mp, mode, route, group, config) -> HullResult:
 
     targets1 = rel.TargetSet(f, tuple(rel.ExponentPolynomial.variable(i, m)
                                       for i in range(m)))
-    lam_basis = _relation_basis(targets1, route, group,
-                                mode=mode, **config)
+    lam_basis = _relation_basis(targets1, route, group, mode, config)
     certification = lam_basis.certification
 
     annihilators = []
@@ -97,7 +94,7 @@ def _hull_semisimple(x, mp, mode, route, group, config) -> HullResult:
         targets2 = rel.TargetSet(
             f, tuple(rel.ExponentPolynomial.power_sum(e, i) for i in range(t + 1))
         )
-        me = _relation_basis(targets2, route, group, mode=mode, **config)
+        me = _relation_basis(targets2, route, group, mode, config)
         if me.certification != "proven":
             certification = me.certification
         rows = [tuple(Fraction(v) for v in row) for row in me.rows]
@@ -123,11 +120,13 @@ def _hull_semisimple(x, mp, mode, route, group, config) -> HullResult:
     )
 
 
-def hull_matrix(x, mode: str = "proven", route: str = "lll",
-                group=None, **config) -> HullResult:
+def hull_matrix(x, mode: str = "proven", route: str = "lll", group=None, *,
+                prime: int | None = None, seed: int = 0,
+                group_order: int | None = None) -> HullResult:
     """Hull of span{X} for arbitrary square X over Q."""
     _check_options(mode, route)
     x = matrices.as_matrix(x)
+    config = dict(prime=prime, seed=seed, group_order=group_order)
     # One minimal polynomial serves both parts: that of S is the squarefree
     # part of that of X.
     mp = matrices.min_poly(x)
@@ -145,7 +144,9 @@ def hull_matrix(x, mode: str = "proven", route: str = "lll",
 
 
 def hull_lie_algebra(generators: Sequence, mode: str = "proven",
-                     route: str = "lll", **config) -> HullResult:
+                     route: str = "lll", *, prime: int | None = None,
+                     seed: int = 0, group_order: int | None = None,
+                     group=None) -> HullResult:
     """Smallest algebraic Lie algebra containing the generators.
 
     In characteristic 0 the Lie algebra generated by algebraic Lie
@@ -156,7 +157,7 @@ def hull_lie_algebra(generators: Sequence, mode: str = "proven",
     per basis element, then one bracket closure.
     """
     _check_options(mode, route)
-    if config.get("group") is not None:
+    if group is not None:
         raise ValueError(
             "hull_lie_algebra takes no group: a permutation group acts on the "
             "roots of one polynomial, and each basis element has its own"
@@ -168,7 +169,8 @@ def hull_lie_algebra(generators: Sequence, mode: str = "proven",
     total = base
     certification = "proven"
     for y in base.basis:
-        res = hull_matrix(y, mode=mode, route=route, **config)
+        res = hull_matrix(y, mode=mode, route=route, prime=prime, seed=seed,
+                          group_order=group_order)
         if res.certification != "proven":
             certification = res.certification
         total = matrices.span_sum(total, res.span)
@@ -176,11 +178,14 @@ def hull_lie_algebra(generators: Sequence, mode: str = "proven",
                       "relation-based", witnesses={"hulls_computed": base.dim})
 
 
-def is_algebraic(generators: Sequence, mode: str = "proven", **config) -> bool:
+def is_algebraic(generators: Sequence, mode: str = "proven", route: str = "lll", *,
+                 prime: int | None = None, seed: int = 0,
+                 group_order: int | None = None) -> bool:
     """True iff the Lie algebra generated by the matrices equals its hull
     (the hull contains it, so equal dimensions suffice)."""
     gens = [matrices.as_matrix(g) for g in generators]
-    hull_dim = hull_lie_algebra(gens, mode=mode, **config).dim
+    hull_dim = hull_lie_algebra(gens, mode=mode, route=route, prime=prime, seed=seed,
+                                group_order=group_order).dim
     return hull_dim == matrices.bracket_closure(matrices.span_of(gens)).dim
 
 

@@ -168,10 +168,6 @@ def hnf(rows: Sequence[Sequence[int]]):
     return tuple(tuple(r) for r in m[:len(pivots)])
 
 
-def lattice_eq(rows1, rows2) -> bool:
-    return hnf(rows1) == hnf(rows2)
-
-
 def kernel_int(rows: Sequence[Sequence[int]]):
     """Z-basis of the left integer kernel {x in Z^m : x rows = 0}.
 

@@ -62,12 +62,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     )
 
 
-def mat_eq(a: Mat, b: Mat) -> bool:
-    return len(a) == len(b) and all(
-        all(x == y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
 def is_zero_matrix(a: Mat) -> bool:
     return all(x == 0 for row in a for x in row)
 

@@ -6,6 +6,9 @@ mod p.  Elements are coefficient tuples of length f_p with entries in
 [0, p^k).  The same integer lift of omega (entries in [0, p)) is reused at
 every precision, so roots lifted at different precisions stay compatible.
 
+The residue field GF(p^f_p) is the ring at precision 1: residue_roots
+finds the roots of f there, and lift_roots Hensel-lifts them.
+
 Callers reach roots through a RootContext (see root_context): one per
 polynomial, prime and seed, holding the prime selection, omega and the
 highest-precision lift made so far.
@@ -14,8 +17,9 @@ highest-precision lift made so far.
 from __future__ import annotations
 
 import copy
-import json
+import itertools
 import math
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -138,7 +142,6 @@ class UnramifiedRing:
         if self.omega[-1] != 1:
             raise PadicError("defining polynomial must be monic")
         self.degree = len(self.omega) - 1
-        self._residue_field = gf.GFpm(p, self.omega)
 
     def __eq__(self, other):
         return (
@@ -162,10 +165,6 @@ class UnramifiedRing:
         ring.k, ring.modulus = k, self.p**k
         return ring
 
-    @property
-    def residue_field(self) -> gf.GFpm:
-        return self._residue_field
-
     def element(self, coeffs: Sequence[int]) -> "PadicElement":
         c = [int(x) for x in coeffs]
         if len(c) > self.degree:
@@ -175,15 +174,15 @@ class UnramifiedRing:
         return PadicElement(self, tuple(c))
 
     def _reduce_by_omega(self, c: list[int]) -> list[int]:
+        """The remainder of c (a list, consumed) by omega, not yet reduced
+        mod p^k."""
         d = self.degree
-        c = list(c)
         for i in range(len(c) - 1, d - 1, -1):
             top = c[i]
             if top:
-                c[i] = 0
                 for j in range(d):
-                    c[i - d + j] = (c[i - d + j] - top * self.omega[j]) % self.modulus
-        return c[:d] + [0] * max(0, d - len(c))
+                    c[i - d + j] -= top * self.omega[j]
+        return c[:d]
 
     def zero(self) -> "PadicElement":
         return PadicElement(self, (0,) * self.degree)
@@ -193,10 +192,6 @@ class UnramifiedRing:
 
     def from_int(self, a: int) -> "PadicElement":
         return self.element((a,))
-
-    def from_residue(self, a: Sequence[int]) -> "PadicElement":
-        """Lift a residue-field element (coordinates as-is)."""
-        return self.element(tuple(a))
 
 
 @dataclass(frozen=True)
@@ -224,16 +219,18 @@ class PadicElement:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        raw = [0] * (2 * self.ring.degree - 1) if self.ring.degree > 1 else [0]
+        ring = self.ring
+        raw = [0] * (2 * ring.degree - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     raw[i + j] += a * b
-        return self.ring.element(raw)
+        m = ring.modulus
+        return PadicElement(ring, tuple(c % m for c in ring._reduce_by_omega(raw)))
 
     def _coerce(self, other):
         if isinstance(other, PadicElement):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise PadicError("elements from different rings")
             return other
         if isinstance(other, int):
@@ -258,16 +255,15 @@ class PadicElement:
             base = base * base
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def inverse(self) -> "PadicElement":
         """Inverse of a unit (valuation 0), by residue inverse + Newton."""
         ring = self.ring
-        field = ring.residue_field
-        red = field.element(tuple(c % ring.p for c in self.coeffs))
-        if field.is_zero(red):
+        red = gf.gf_normalize(self.coeffs, ring.p)
+        if not red:
             raise ZeroDivisionError("element is not a unit")
-        y = ring.from_residue(field.inv(red))
+        y = ring.element(gf.gf_inverse(red, ring.omega, ring.p))
         prec = 1
         while prec < ring.k:
             y = y * (ring.from_int(2) - self * y)
@@ -275,11 +271,6 @@ class PadicElement:
         if (self * y).coeffs != ring.one().coeffs:
             raise PadicError("Newton inversion did not converge to an inverse")
         return y
-
-    def frobenius_residue(self) -> tuple[int, ...]:
-        """Image of the residue of this element under x -> x^p."""
-        field = self.ring.residue_field
-        return field.pow(field.element(tuple(c % self.ring.p for c in self.coeffs)), self.ring.p)
 
     def residue(self) -> tuple[int, ...]:
         return tuple(c % self.ring.p for c in self.coeffs)
@@ -330,45 +321,141 @@ class ApproxRoots:
     def k(self) -> int:
         return self.ring.k
 
-    def dump(self) -> str:
-        """Diagnostic JSON: coefficient vectors as decimal strings, p, k, omega."""
-        return json.dumps(
-            {
-                "p": self.ring.p,
-                "k": self.ring.k,
-                "omega": [str(c) for c in self.ring.omega],
-                "roots": [[str(c) for c in r.coeffs] for r in self.roots],
-            }
-        )
+
+# Polynomials over the residue field are lists of elements of one ring at
+# precision 1, constant term first, with no zero leading coefficient.
+
+# A random shift splits a split squarefree polynomial of degree >= 2 with
+# probability about 1/2; equal-degree splitting gives up after this many
+# failed trials on one factor.
+SPLIT_TRIALS = 200
 
 
-def _eval_int_poly(f: Sequence[int], x: PadicElement) -> PadicElement:
-    acc = x.ring.zero()
-    for c in reversed(f):
-        acc = acc * x + x.ring.from_int(c)
-    return acc
+def _trim(f: list) -> list:
+    while f and f[-1].is_zero():
+        f.pop()
+    return f
+
+
+def _divmod_monic(f: list, g: list) -> tuple[list, list]:
+    """Quotient and remainder of f by a monic g."""
+    r = list(f)
+    d = len(g) - 1
+    q = [None] * max(len(r) - d, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = r[i + d]
+        if not c.is_zero():
+            for j in range(d):
+                r[i + j] = r[i + j] - c * g[j]
+    return _trim(q), _trim(r[:d])
+
+
+def _mulmod(a: list, b: list, g: list) -> list:
+    """a * b mod a monic g."""
+    if not a or not b:
+        return []
+    out = [a[0].ring.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x.is_zero():
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+    return _divmod_monic(out, g)[1]
+
+
+def _powmod(a: list, e: int, g: list) -> list:
+    """a^e mod a monic g, for e >= 1."""
+    result, base = None, _divmod_monic(a, g)[1]
+    while True:
+        if e & 1:
+            result = base if result is None else _mulmod(result, base, g)
+        e >>= 1
+        if not e:
+            return result
+        base = _mulmod(base, base, g)
+
+
+def _monic_gcd(a: list, b: list) -> list:
+    """Monic gcd of a monic a and any b."""
+    while b:
+        inv = b[-1].inverse()
+        a, b = [c * inv for c in b], a
+        b = _divmod_monic(b, a)[1]
+    return a
+
+
+def residue_roots(f: list, seed: int = 0) -> list:
+    """All roots of a squarefree monic f that splits over the residue field.
+
+    f is a polynomial over one ring at precision 1.  Fields of at most
+    4096 elements are searched exhaustively; larger ones are split by
+    equal-degree splitting (seeded, Las Vegas) once f is known to divide
+    x^q - x.  Raises ValueError when f does not split into distinct
+    linear factors.
+    """
+    n = len(f) - 1
+    if n <= 0:
+        return []
+    ring = f[0].ring
+    q = ring.p**ring.degree
+    if q <= 4096:
+        roots = []
+        for coords in itertools.product(range(ring.p), repeat=ring.degree):
+            a = PadicElement(ring, coords)
+            if pol.evaluate(f, a).is_zero():
+                roots.append(a)
+    else:
+        # f splits into distinct linear factors iff it divides x^q - x
+        x = [ring.zero(), ring.one()]
+        if _powmod(x, q, f) != _divmod_monic(x, f)[1]:
+            raise ValueError("polynomial does not split over this field")
+        roots = []
+        _split_collect(f, random.Random((seed, ring.p, ring.degree).__hash__()), roots)
+    if len(roots) != n:
+        raise ValueError("polynomial does not split over this field")
+    return roots
+
+
+def _split_collect(f: list, rng: random.Random, out: list) -> None:
+    """Append the roots of a monic f that splits into distinct linear
+    factors, by equal-degree splitting with at most SPLIT_TRIALS random
+    shifts per factor."""
+    n = len(f) - 1
+    if n == 0:
+        return
+    if n == 1:
+        out.append(-f[0])
+        return
+    ring = f[0].ring
+    if ring.p == 2:  # the exhaustive search covers every field of size <= 4096
+        raise ValueError("equal-degree splitting needs an odd characteristic")
+    one, half = ring.one(), (ring.p**ring.degree - 1) // 2
+    for _ in range(SPLIT_TRIALS):
+        shift = PadicElement(ring, tuple(rng.randrange(ring.p) for _ in range(ring.degree)))
+        h = _powmod([shift, one], half, f)
+        h = _trim([h[0] - one] + h[1:]) if h else [-one]
+        g = _monic_gcd(f, h)
+        if 0 < len(g) - 1 < n:
+            _split_collect(g, rng, out)
+            _split_collect(_divmod_monic(f, g)[0], rng, out)
+            return
+    raise ValueError(f"no split of a degree-{n} factor in {SPLIT_TRIALS} random trials")
 
 
 def lift_roots(f: Sequence[int], ring: UnramifiedRing, seed: int = 0) -> ApproxRoots:
     """All roots of f in the ring, Hensel-lifted to precision k.
 
-    Roots are found in the residue field GF(p^f_p) (equal-degree splitting)
-    and labeled once, sorted by their residue coordinate vectors; lifting
-    preserves that labeling.
+    Roots are found in the residue field, the ring at precision 1 (see
+    residue_roots), and labeled once, sorted by their residue coordinate
+    vectors; lifting preserves that labeling.
     """
     f = tuple(int(c) for c in f)
-    p = ring.p
     if f[-1] != 1:
         raise PadicError("polynomial must be monic")
-    if not is_admissible(f, p):
-        raise PadicError(f"polynomial is not squarefree mod {p}")
-    field = ring.residue_field
-    fbar = [field.from_int(c) for c in f]
-    residues = sorted(field.roots_of_split_poly(fbar, seed=seed))
-    if len(residues) != len(f) - 1:
-        raise PadicError("ring degree too small: polynomial does not split")
+    if not is_admissible(f, ring.p):
+        raise PadicError(f"polynomial is not squarefree mod {ring.p}")
     base = ring.at_precision(1)
-    start = ApproxRoots(base, tuple(base.from_residue(r) for r in residues), f)
+    residues = residue_roots([base.from_int(c) for c in f], seed=seed)
+    start = ApproxRoots(base, tuple(sorted(residues, key=lambda r: r.coeffs)), f)
     return increase_precision(start, ring.k)
 
 
@@ -391,12 +478,12 @@ def increase_precision(roots: ApproxRoots, k_new: int) -> ApproxRoots:
         # y is f'(alpha)^-1 to the precision alpha had before the step,
         # which is all a doubling step needs; one Newton update per step
         # carries it along.
-        y = _eval_int_poly(fprime, alpha).inverse()
+        y = pol.evaluate(fprime, alpha).inverse()
         for ring in steps:
             alpha, y = ring.element(alpha.coeffs), ring.element(y.coeffs)
-            alpha = alpha - _eval_int_poly(f, alpha) * y
-            y = y * (ring.from_int(2) - _eval_int_poly(fprime, alpha) * y)
-        if not _eval_int_poly(f, alpha).is_zero():
+            alpha = alpha - pol.evaluate(f, alpha) * y
+            y = y * (ring.from_int(2) - pol.evaluate(fprime, alpha) * y)
+        if not pol.evaluate(f, alpha).is_zero():
             raise PadicError(f"lifted value is not a root of f mod {old.p}^{k_new}")
         lifted.append(alpha)
     return ApproxRoots(old.at_precision(k_new), tuple(lifted), f)
@@ -427,9 +514,10 @@ def frobenius_perm(roots: ApproxRoots) -> tuple[int, ...]:
     index = {res: i for i, res in enumerate(residues)}
     if len(index) != len(residues):
         raise PadicError("roots are not distinct mod p")
+    base = roots.ring.at_precision(1)
     images = []
-    for r in roots.roots:
-        target = r.frobenius_residue()
+    for res in residues:
+        target = (base.element(res) ** base.p).coeffs
         if target not in index:
             raise PadicError("Frobenius image does not match any root (corrupted roots)")
         images.append(index[target])

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from . import galois as galois_mod
@@ -255,7 +254,7 @@ def _shared_bounds(targets: TargetSet, group_order):
 
 
 def _lll_extract(targets: TargetSet, ctx: padic.RootContext, k: int, lam: int,
-                 threshold_sq: int, delta):
+                 threshold_sq: int):
     """One pass of the block-matrix construction: lift, reduce, extract."""
     s = targets.s
     f_p = ctx.f_p
@@ -272,7 +271,7 @@ def _lll_extract(targets: TargetSet, ctx: padic.RootContext, k: int, lam: int,
         big.append(
             (0,) * s + tuple(lam * pk if l == j else 0 for l in range(f_p))
         )
-    reduced = lattice.lll_reduce(big, delta=delta)
+    reduced = lattice.lll_reduce(big)
     found = []
     for row in reduced:
         lead, tail = row[:s], row[s:]
@@ -283,11 +282,11 @@ def _lll_extract(targets: TargetSet, ctx: padic.RootContext, k: int, lam: int,
     return found
 
 
-def _finalize(rows, delta):
+def _finalize(rows):
     if not rows:
         return ()
     sat = lattice.saturate(rows)
-    return lattice.lll_reduce(sat, delta=delta) if sat else ()
+    return lattice.lll_reduce(sat) if sat else ()
 
 
 def find_relations_lll(
@@ -295,7 +294,6 @@ def find_relations_lll(
     mode: str = "proven",
     prime: int | None = None,
     group_order: int | None = None,
-    delta: Fraction = Fraction(3, 4),
     seed: int = 0,
 ) -> RelationBasis:
     """Z-basis of the relation lattice via the scaled LLL block matrix.
@@ -313,7 +311,8 @@ def find_relations_lll(
     m_prime, m, r, n_bound = _shared_bounds(targets, group_order)
     # Size threshold for genuine rows: Lambda has a basis of sup-norm
     # <= N, so the reduced basis starts with rows of squared 2-norm at
-    # most 2^(s+f_p-1) * s * N^2.
+    # most 2^(s+f_p-1) * s * N^2 (the LLL bound for delta = 3/4, the
+    # reduction every search here runs).
     threshold_sq = 2 ** (s + sel.f_p - 1) * s * n_bound**2
     lam = max(n_bound**2 * 2 ** (s - 1), math.isqrt(threshold_sq) + 2)
     # Precision so that any trailing-zero row under the threshold is a
@@ -322,10 +321,10 @@ def find_relations_lll(
     k_proven = proven_precision(sel.p, sel.f_p, t_bound * m * s, r)
 
     def pass_at(k):
-        rows = _lll_extract(targets, ctx, k, lam, threshold_sq, delta)
+        rows = _lll_extract(targets, ctx, k, lam, threshold_sq)
         rows = [e for e in rows
                 if _is_proven_relation(e, targets, sel.p, group_order, seed)]
-        return _finalize(rows, delta)
+        return _finalize(rows)
 
     if mode == "proven":
         final = pass_at(k_proven)
@@ -445,7 +444,7 @@ def find_relations_galois(
         ns = lattice.nullspace_mod(b_rows, sel.p, k)
         rec = _reconstruct_rows(ns, sel.p, k)
         if rec is not None:
-            final = _finalize(rec, Fraction(3, 4))
+            final = _finalize(rec)
             ok = all(max(abs(x) for x in row) <= n_bound for row in final)
             if ok and all(_is_proven_relation(e, targets, sel.p, group_order, seed)
                           for e in final):

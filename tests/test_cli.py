@@ -165,6 +165,18 @@ def test_verbose_flag_is_gone():
         assert "--verbose" in result.output
 
 
+def test_hull_delta_flag_is_gone():
+    # the relation search's size threshold is the LLL bound for delta = 3/4,
+    # so hull takes no delta; lll keeps its own
+    result = runner.invoke(main, ["hull", "-", "--delta", "1/2"],
+                           input=json.dumps({"matrix": [[0, 2], [1, 0]]}))
+    assert result.exit_code == 2
+    assert "--delta" in result.output
+    result = runner.invoke(main, ["lll", "-", "--delta", "1/2"],
+                           input=json.dumps([[1, 0], [0, 1]]))
+    assert result.exit_code == 0, result.output
+
+
 def test_deterministic_output():
     payload = json.dumps({"matrix": [[0, 2], [1, 0]], "seed": 0})
     a = json.loads(_invoke(["hull", "-"], stdin=payload).output)

@@ -194,18 +194,18 @@ def test_cayley_hamilton():
 
 def test_jordan_examples():
     s, n = matrices.jordan_decomposition(matrices.as_matrix([[1, 1], [0, 1]]))
-    assert matrices.mat_eq(s, matrices.identity(2))
-    assert matrices.mat_eq(n, matrices.as_matrix([[0, 1], [0, 0]]))
+    assert s == matrices.identity(2)
+    assert n == matrices.as_matrix([[0, 1], [0, 0]])
     # already semisimple: N = 0
     d = matrices.as_matrix([[1, 0], [0, 2]])
     s, n = matrices.jordan_decomposition(d)
-    assert matrices.mat_eq(s, d) and matrices.is_zero_matrix(n)
+    assert s == d and matrices.is_zero_matrix(n)
 
 
 def check_jordan_postconditions(x):
     s, n = matrices.jordan_decomposition(x)
-    assert matrices.mat_eq(matrices.mat_add(s, n), x), "S + N != X"
-    assert matrices.mat_eq(matrices.mat_mul(s, n), matrices.mat_mul(n, s)), \
+    assert matrices.mat_add(s, n) == x, "S + N != X"
+    assert matrices.mat_mul(s, n) == matrices.mat_mul(n, s), \
         "S and N do not commute"
     power = n
     for _ in range(len(x)):

@@ -26,7 +26,7 @@ def test_perm_group_order_and_membership():
     assert g.order == 3
     assert (2, 0, 1) in g
     assert (1, 0, 2) not in g
-    assert galois.PermGroup.trivial(4).order == 1
+    assert galois.PermGroup(4, []).order == 1
     with pytest.raises(ValueError):
         galois.PermGroup(3, [(0, 0, 1)])
 
@@ -52,7 +52,7 @@ def test_subset_growth():
 
 
 def test_subset_growth_exhausts_trivial_group():
-    s = galois.grow_subset(galois.initial_subset(3), galois.PermGroup.trivial(3))
+    s = galois.grow_subset(galois.initial_subset(3), galois.PermGroup(3, []))
     assert s.exhausted and len(s.perms) == 1
 
 

@@ -144,6 +144,21 @@ def test_unknown_options_rejected_before_any_work(options):
         hull.hull_semisimple([[0, 2], [1, 0]], **options)
 
 
+@pytest.mark.parametrize("x", [[[0, 1], [0, 0]], [[0, 0], [0, 0]], [[0, 2], [1, 0]]],
+                         ids=["nilpotent", "zero", "semisimple"])
+@pytest.mark.parametrize("option", [{"bogus": 1}, {"delta": Fraction(3, 4)}])
+def test_unknown_keywords_rejected_on_every_path(x, option):
+    # nilpotent and zero inputs never reach the relation search, so only
+    # the signatures can reject a stray keyword there
+    calls = [lambda: hull.hull_matrix(x, **option),
+             lambda: hull.hull_lie_algebra([x], **option),
+             lambda: hull.is_algebraic([x], **option),
+             lambda: hull.hull_semisimple(x, **option)]
+    for call in calls:
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            call()
+
+
 # ------------------------------------------------------------- invariants
 
 def test_hull_invariants_on_small_corpus():

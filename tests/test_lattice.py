@@ -290,7 +290,6 @@ def test_hnf_canonical_under_unimodular_change():
         rows = _random_basis(rng, r, n, -15, 15)
         other = _mat_mul_int(_unimodular(rng, r), rows)
         assert lattice.hnf(rows) == lattice.hnf(other)
-        assert lattice.lattice_eq(rows, other)
 
 
 def test_kernel_int():

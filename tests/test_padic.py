@@ -5,14 +5,19 @@ f(root) = 0 mod p^k, and raising the precision refines the same labeled
 roots (labels are assigned from sorted residues, so they are stable).
 """
 
+import itertools
 import os
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import alghull
 from alghull import gf, padic
+from alghull import polynomials as pol
 from alghull.relations import ExponentPolynomial, proven_precision
 
 F_QUAD = (-2, 0, 1)  # x^2 - 2
@@ -66,7 +71,7 @@ def test_hensel_residuals_at_increasing_precision(k):
         roots = padic.lift_roots(f, ring)
         assert len(roots.roots) == len(f) - 1
         for r in roots.roots:
-            val = padic._eval_int_poly(f, r)
+            val = pol.evaluate(f, r)
             assert padic.valuation(val) >= k
 
 
@@ -75,7 +80,7 @@ def test_hensel_residuals_at_proven_precision():
     ring = padic.build_unramified(3, 2, k)
     roots = padic.lift_roots(F_QUAD, ring)
     for r in roots.roots:
-        assert padic.valuation(padic._eval_int_poly(F_QUAD, r)) >= k
+        assert padic.valuation(pol.evaluate(F_QUAD, r)) >= k
 
 
 def test_increase_precision_is_consistent():
@@ -87,7 +92,7 @@ def test_increase_precision_is_consistent():
     for a, b in zip(high.roots, fresh.roots):
         assert a.coeffs == b.coeffs
     for r in high.roots:
-        assert padic.valuation(padic._eval_int_poly(F_QUARTIC, r)) >= 24
+        assert padic.valuation(pol.evaluate(F_QUARTIC, r)) >= 24
 
 
 def test_increase_precision_inverts_once_per_root(monkeypatch):
@@ -104,7 +109,7 @@ def test_increase_precision_inverts_once_per_root(monkeypatch):
     high = padic.increase_precision(low, 64)  # six doubling steps
     assert calls == [1] * 4
     for r in high.roots:
-        assert padic.valuation(padic._eval_int_poly(F_QUARTIC, r)) >= 64
+        assert padic.valuation(pol.evaluate(F_QUARTIC, r)) >= 64
 
 
 def test_build_unramified_tests_omega_once(monkeypatch):
@@ -164,12 +169,12 @@ def test_root_splitting_is_bounded():
     # mod 4099).  The split check rejects it; when called directly on an
     # irreducible factor, the splitting gives up after SPLIT_TRIALS trials.
     code = (
-        "from alghull import gf, padic\n"
-        "field = gf.GFpm(4099, (0, 1))\n"
-        "two = field.from_int(2)\n"
+        "import random\n"
+        "from alghull import padic\n"
+        "ring = padic.build_unramified(4099, 1, 1)\n"
+        "f = [ring.from_int(c) for c in (-2, 0, 1)]\n"
         "for call in (lambda: padic.lift_roots((-2, 0, 1), padic.build_unramified(4099, 1, 2)),\n"
-        "             lambda: field._split_collect((field.neg(two), field.zero(), field.one()),\n"
-        "                                          __import__('random').Random(0), [])):\n"
+        "             lambda: padic._split_collect(f, random.Random(0), [])):\n"
         "    try:\n"
         "        call()\n"
         "    except ValueError as exc:\n"
@@ -226,7 +231,40 @@ def test_cached_roots_identity():
     assert a is b
 
 
-def test_dump_mentions_precision():
-    roots = padic.cached_roots(F_QUAD, 3, 2, 5, 0)
-    text = roots.dump()
-    assert "3" in text and "5" in text
+def _brute_force_roots(f, omega, p):
+    """Every element of F_p[t]/(omega) at which f vanishes, in F_p[t]
+    arithmetic (f is a list of coordinate tuples, constant first)."""
+    roots = []
+    for a in itertools.product(range(p), repeat=len(omega) - 1):
+        acc = ()
+        for c in reversed(f):
+            acc = gf.gf_mod(gf.gf_mul(acc, a, p), omega, p)
+            acc = gf.gf_normalize([x + y for x, y in itertools.zip_longest(acc, c, fillvalue=0)], p)
+        if not acc:
+            roots.append(a)
+    return roots
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_residue_roots_match_brute_force(data):
+    # f = prod (x - beta) over distinct beta in GF(p^m), odd p < 30, m <= 3:
+    # both root-finding paths (exhaustive for q <= 4096, splitting above)
+    # and the splitter called directly find exactly the field's roots of f.
+    p = data.draw(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29]), label="p")
+    m = data.draw(st.integers(1, 3), label="m")
+    ring = padic.build_unramified(p, m, 1, seed=data.draw(st.integers(0, 3), label="seed"))
+    event("splitting" if p**m > 4096 else "exhaustive")
+    coords = st.tuples(*[st.integers(0, p - 1)] * m)
+    betas = data.draw(st.lists(coords, min_size=1, max_size=min(4, p**m), unique=True),
+                      label="betas")
+    f = [ring.one()]
+    for beta in betas:  # f *= x - beta
+        f = [low - ring.element(beta) * c for c, low in zip(f + [ring.zero()], [ring.zero()] + f)]
+    want = _brute_force_roots([c.coeffs for c in f], ring.omega, p)
+    assert want == sorted(betas)
+    found = padic.residue_roots(f, seed=data.draw(st.integers(0, 3), label="split seed"))
+    assert sorted(r.coeffs for r in found) == want
+    split = []
+    padic._split_collect(f, random.Random(data.draw(st.integers(0, 3))), split)
+    assert sorted(r.coeffs for r in split) == want

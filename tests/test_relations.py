@@ -204,7 +204,7 @@ def test_group_degree_mismatch_rejected():
     from alghull import galois
     ts = variables((-2, 0, 1))
     with pytest.raises(ValueError):
-        rel.find_relations_galois(ts, galois.PermGroup.trivial(3))
+        rel.find_relations_galois(ts, galois.PermGroup(3, []))
 
 
 def test_frobenius_only_group_can_be_insufficient():
