@@ -81,7 +81,7 @@ def _parse_group(path, degree):
 def _bounds_json(b: rel.BoundData):
     return {
         "M_prime": b.M_prime, "M": b.M, "N": b.N, "r": b.r,
-        "k": b.k, "lambda": b.lam, "p": b.p, "f_p": b.f_p,
+        "k": b.k, "p": b.p, "f_p": b.f_p,
     }
 
 

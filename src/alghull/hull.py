@@ -67,18 +67,19 @@ def hull_semisimple(x, mode: str = "proven", route: str = "lll", group=None, *,
     _check_options(mode, route)
     x = matrices.as_matrix(x)
     config = dict(prime=prime, seed=seed, group_order=group_order)
-    return _hull_semisimple(x, matrices.min_poly(x), mode, route, group, config)
+    mp, powers = matrices._krylov(x)
+    return _hull_semisimple(x, mp, mode, route, group, config, powers)
 
 
-def _hull_semisimple(x, mp, mode, route, group, config) -> HullResult:
-    """hull_semisimple for a matrix X whose minimal polynomial is mp."""
+def _hull_semisimple(x, mp, mode, route, group, config, powers=None) -> HullResult:
+    """hull_semisimple for a matrix X whose minimal polynomial is mp;
+    powers, when given, are I, X, ..., X^(deg mp - 1)."""
     if pol.degree(pol.squarefree_part(mp)) != pol.degree(mp):
         raise ValueError(
             "matrix is not semisimple; use hull_matrix for the general case"
         )
     c = pol.integral_scaling(mp)
     f = pol.to_int_coeffs(pol.scale_roots(mp, c))
-    xs = matrices.mat_scale(x, c)
     m = len(f) - 1
     t = m - 1
     # right_kernel of a zero row is the identity basis: no constraint
@@ -101,12 +102,14 @@ def _hull_semisimple(x, mp, mode, route, group, config) -> HullResult:
         annihilators.extend(linalg.right_kernel(rows or no_constraint))
     upsilon = linalg.right_kernel(annihilators or no_constraint)
 
-    powers = matrices.powers(xs, t + 1)
-    basis = [matrices.linear_combination(gamma, powers, len(x)) for gamma in upsilon]
-    span = matrices.MatrixSpan(basis, n=len(x))
-    # report the coefficient vectors relative to powers of X itself
+    # the coefficient vectors relative to powers of X itself: gamma_i (cX)^i
+    # = (gamma_i c^i) X^i
     upsilon_x = [tuple(Fraction(g) * Fraction(c) ** i for i, g in enumerate(gamma))
                  for gamma in upsilon]
+    if powers is None:
+        powers = matrices.powers(x, t + 1)
+    basis = [matrices.linear_combination(gamma, powers, len(x)) for gamma in upsilon_x]
+    span = matrices.MatrixSpan(basis, n=len(x))
     return HullResult(
         span, certification, "relation-based",
         witnesses={
@@ -128,11 +131,12 @@ def hull_matrix(x, mode: str = "proven", route: str = "lll", group=None, *,
     x = matrices.as_matrix(x)
     config = dict(prime=prime, seed=seed, group_order=group_order)
     # One minimal polynomial serves both parts: that of S is the squarefree
-    # part of that of X.
-    mp = matrices.min_poly(x)
+    # part of that of X.  When X is semisimple its hull is built from the
+    # powers of X the minimal polynomial's Krylov loop made.
+    mp, powers = matrices._krylov(x)
     s, n_part = matrices._jordan_decomposition(x, mp)
     if matrices.is_zero_matrix(n_part):
-        return _hull_semisimple(x, mp, mode, route, group, config)
+        return _hull_semisimple(x, mp, mode, route, group, config, powers)
     if matrices.is_zero_matrix(s):
         span = matrices.MatrixSpan([n_part], n=len(x))
         return HullResult(span, "proven", "relation-based",

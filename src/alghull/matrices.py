@@ -7,6 +7,7 @@ Matrices are tuples of row tuples with Fraction (or int) entries.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -53,12 +54,25 @@ def mat_scale(a: Mat, c) -> Mat:
     return tuple(tuple(x * c for x in row) for row in a)
 
 
+def _numerators(a: Mat) -> tuple[int, list[list[int]]]:
+    """(d, integer matrix d A) for the least common denominator d of A."""
+    d = math.lcm(*(x.denominator for row in a for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in a]
+
+
 def mat_mul(a: Mat, b: Mat) -> Mat:
+    """Exact product, fraction-free: the integer numerators of A and B over
+    one common denominator each are multiplied, and each output entry
+    becomes one Fraction."""
     if len(a[0]) != len(b):
         raise DimensionError("incompatible shapes for multiplication")
-    bt = list(zip(*b))
+    da, na = _numerators(a)
+    db, nb = _numerators(b)
+    d = da * db
+    cols = list(zip(*nb))
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+        tuple(Fraction(sum(map(operator.mul, row, col)), d) for col in cols)
+        for row in na
     )
 
 
@@ -161,24 +175,32 @@ def min_poly(x: Mat):
     """Monic minimal polynomial: the first power X^(t+1) that lies in the
     span of I, X, ..., X^t, written in terms of them (a Krylov loop with
     one reduction per power)."""
+    return _krylov(x)[0]
+
+
+def _krylov(x: Mat) -> tuple[tuple, list[Mat]]:
+    """(min_poly(X), [I, X, ..., X^t]) with t+1 the degree of the minimal
+    polynomial: the powers the Krylov loop makes on the way, one product
+    per power."""
     if not is_square(x):
         raise DimensionError("minimal polynomial needs a square matrix")
     n = len(x)
     if n == 0:
-        return (1,)
-    powers = linalg.Echelon(n * n, track=True)
-    power = identity(n)
+        return (1,), []
+    echelon = linalg.Echelon(n * n, track=True)
+    power, found = identity(n), []
     while True:
-        coeffs = powers.express_or_add(flatten(power))
+        coeffs = echelon.express_or_add(flatten(power))
         if coeffs is not None:
             # X^(t+1) = sum c_i X^i  ->  min poly = x^(t+1) - sum c_i x^i
-            return tuple(-c for c in coeffs) + (Fraction(1),)
+            return tuple(-c for c in coeffs) + (Fraction(1),), found
+        found.append(power)
         power = mat_mul(power, x)
 
 
 def power_basis(x: Mat) -> "MatrixSpan":
     """[I, X, ..., X^t] with t+1 the degree of the minimal polynomial."""
-    return MatrixSpan(powers(x, pol.degree(min_poly(x))))
+    return MatrixSpan(_krylov(x)[1], n=len(x))
 
 
 def jordan_decomposition(x: Mat) -> tuple[Mat, Mat]:

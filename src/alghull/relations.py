@@ -7,9 +7,13 @@ whether a single expression vanishes and computes a Z-basis of
     Lambda = {e in Z^s : e_1 g_1(a) + ... + e_s g_s(a) = 0}.
 
 Everything runs through approximate roots in an unramified extension of
-Q_p; no splitting field is ever constructed.  Two routes are available:
-an LLL-based one and one that accumulates constraints from a permutation
-action on the roots.  A "proven" run picks the p-adic precision from a
+Q_p; no splitting field is ever constructed.  Two routes are available.
+The LLL route reduces a basis of the relation lattice mod p^k,
+
+    L_k = {e in Z^s : e_1 g_1(a) + ... + e_s g_s(a) = 0 mod p^k},
+
+which contains Lambda, and keeps its short rows.  The other route
+accumulates constraints from a permutation action on the roots.  A "proven" run picks the p-adic precision from a
 norm bound so the answers are unconditionally correct; a "heuristic" run
 starts with a small precision and verifies its candidates afterwards.
 """
@@ -113,8 +117,9 @@ class BoundData:
     M_prime bounds every complex root of f; M bounds every complex
     embedding of every target; r bounds the degree of the field the
     targets live in; N bounds the sup-norm of some Z-basis of Lambda;
-    k is the p-adic precision exponent actually used and lam the column
-    scaling of the LLL block matrix (1 for the permutation route).
+    k is the p-adic precision exponent actually used, so that the LLL
+    route reduced the relation lattice L_k mod p^k, and p and f_p are
+    the working prime and its residue degree.
     """
 
     M_prime: int
@@ -122,7 +127,6 @@ class BoundData:
     r: int
     N: int
     k: int
-    lam: int
     p: int
     f_p: int
 
@@ -208,7 +212,7 @@ def zero_test(
     ctx = padic.root_context(f, prime, seed=seed)
     sel = ctx.selection
     if g.is_zero_poly():
-        return True, BoundData(1, 1, 1, 1, 1, 1, sel.p, sel.f_p)
+        return True, BoundData(1, 1, 1, 1, 1, sel.p, sel.f_p)
     m_prime = complex_root_bound(f)
     m = max(embedding_bound(g, m_prime), 1)
     r = degree_bound(f, group_order)
@@ -221,7 +225,7 @@ def zero_test(
         k_use = min(int(k), k_proven)
     value = padic.eval_target(g, ctx.roots(k_use))
     answer = padic.valuation(value) >= k_use
-    bounds = BoundData(m_prime, m, r, 1, k_use, 1, sel.p, sel.f_p)
+    bounds = BoundData(m_prime, m, r, 1, k_use, sel.p, sel.f_p)
     return answer, bounds
 
 
@@ -253,33 +257,24 @@ def _shared_bounds(targets: TargetSet, group_order):
     return m_prime, m, r, n_bound
 
 
-def _lll_extract(targets: TargetSet, ctx: padic.RootContext, k: int, lam: int,
+def _relation_lattice(b_rows, p: int, k: int):
+    """HNF basis of L_k = {e in Z^s : e B = 0 mod p^k}, B the s rows
+    b_rows: the generators of the nullspace of B mod p^k together with
+    p^k I.  It has s rows, and its entries lie in [0, p^k]."""
+    pk = p**k
+    s = len(b_rows)
+    gens = list(lattice.nullspace_mod(b_rows, p, k))
+    gens.extend(tuple(pk if j == i else 0 for j in range(s)) for i in range(s))
+    return lattice.hnf(gens)
+
+
+def _lll_extract(targets: TargetSet, ctx: padic.RootContext, k: int,
                  threshold_sq: int):
-    """One pass of the block-matrix construction: lift, reduce, extract."""
-    s = targets.s
-    f_p = ctx.f_p
+    """One pass: lift, LLL-reduce a basis of L_k, keep the short rows."""
     roots = ctx.roots(k)
     b_rows = [padic.eval_target(g, roots).coeffs for g in targets.targets]
-    pk = ctx.p**k
-    big = []
-    for i in range(s):
-        big.append(
-            tuple(1 if j == i else 0 for j in range(s))
-            + tuple(lam * c for c in b_rows[i])
-        )
-    for j in range(f_p):
-        big.append(
-            (0,) * s + tuple(lam * pk if l == j else 0 for l in range(f_p))
-        )
-    reduced = lattice.lll_reduce(big)
-    found = []
-    for row in reduced:
-        lead, tail = row[:s], row[s:]
-        if any(tail):
-            continue
-        if sum(x * x for x in lead) <= threshold_sq and any(lead):
-            found.append(lead)
-    return found
+    reduced = lattice.lll_reduce(_relation_lattice(b_rows, ctx.p, k))
+    return [row for row in reduced if sum(x * x for x in row) <= threshold_sq]
 
 
 def _finalize(rows):
@@ -296,13 +291,14 @@ def find_relations_lll(
     group_order: int | None = None,
     seed: int = 0,
 ) -> RelationBasis:
-    """Z-basis of the relation lattice via the scaled LLL block matrix.
+    """Z-basis of the relation lattice via LLL on L_k.
 
-    The big matrix has rows (e_i | lam * B_i) over (0 | lam p^k I), where
-    B_i is the coefficient vector of the lifted value of g_i.  At proven
-    precision the rows of the reduced basis whose trailing block vanishes
-    and whose leading block stays under the size threshold are exactly a
-    generating set of Lambda; each is re-verified independently anyway.
+    B_i is the coefficient vector of the lifted value of g_i, and L_k =
+    {e : sum e_i B_i = 0 mod p^k} contains Lambda.  LLL reduces the HNF
+    basis of L_k (dimension s, entries at most p^k).  At proven precision
+    the reduced rows under the size threshold are relations and include
+    rank(Lambda) independent ones, so their saturation is Lambda; each is
+    re-verified independently anyway.
     """
     check_mode(mode)
     ctx = padic.root_context(targets.f, prime, seed=seed)
@@ -310,25 +306,27 @@ def find_relations_lll(
     s = targets.s
     m_prime, m, r, n_bound = _shared_bounds(targets, group_order)
     # Size threshold for genuine rows: Lambda has a basis of sup-norm
-    # <= N, so the reduced basis starts with rows of squared 2-norm at
-    # most 2^(s+f_p-1) * s * N^2 (the LLL bound for delta = 3/4, the
-    # reduction every search here runs).
+    # <= N, so a reduced basis of L_k (dimension s) starts with rank
+    # Lambda rows of squared 2-norm at most 2^(s-1) * s * N^2 (the LLL
+    # bound for delta = 3/4, the reduction every search here runs).  The
+    # threshold allows the larger bound of dimension s + f_p, and k_proven
+    # follows from it: a tighter threshold would lower the certified
+    # precision and change which rows each pass keeps.
     threshold_sq = 2 ** (s + sel.f_p - 1) * s * n_bound**2
-    lam = max(n_bound**2 * 2 ** (s - 1), math.isqrt(threshold_sq) + 2)
-    # Precision so that any trailing-zero row under the threshold is a
-    # certified relation, not just a mod-p^k coincidence.
+    # Precision so that any row of L_k under the threshold is a certified
+    # relation, not just a mod-p^k coincidence.
     t_bound = math.isqrt(threshold_sq) + 1
     k_proven = proven_precision(sel.p, sel.f_p, t_bound * m * s, r)
 
     def pass_at(k):
-        rows = _lll_extract(targets, ctx, k, lam, threshold_sq)
+        rows = _lll_extract(targets, ctx, k, threshold_sq)
         rows = [e for e in rows
                 if _is_proven_relation(e, targets, sel.p, group_order, seed)]
         return _finalize(rows)
 
     if mode == "proven":
         final = pass_at(k_proven)
-        bounds = BoundData(m_prime, m, r, n_bound, k_proven, lam, sel.p, sel.f_p)
+        bounds = BoundData(m_prime, m, r, n_bound, k_proven, sel.p, sel.f_p)
         return RelationBasis(tuple(final), "proven", bounds)
 
     k = min(max(1, math.ceil(1.5 * math.log(max(n_bound, 2)) / math.log(sel.p))),
@@ -338,11 +336,11 @@ def find_relations_lll(
         k2 = min(2 * k, k_proven)
         nxt = pass_at(k2)
         if lattice.hnf(cur) == lattice.hnf(nxt):
-            bounds = BoundData(m_prime, m, r, n_bound, k, lam, sel.p, sel.f_p)
+            bounds = BoundData(m_prime, m, r, n_bound, k, sel.p, sel.f_p)
             return RelationBasis(tuple(cur), "heuristic-verified", bounds,
                                  verification_k=k2)
         k, cur = k2, nxt
-    bounds = BoundData(m_prime, m, r, n_bound, k_proven, lam, sel.p, sel.f_p)
+    bounds = BoundData(m_prime, m, r, n_bound, k_proven, sel.p, sel.f_p)
     return RelationBasis(tuple(cur), "proven", bounds)
 
 
@@ -449,7 +447,7 @@ def find_relations_galois(
             if ok and all(_is_proven_relation(e, targets, sel.p, group_order, seed)
                           for e in final):
                 cert = "proven" if mode == "proven" else "heuristic-verified"
-                bounds = BoundData(m_prime, m, r, n_bound, k, 1, sel.p, sel.f_p)
+                bounds = BoundData(m_prime, m, r, n_bound, k, sel.p, sel.f_p)
                 return RelationBasis(tuple(final), cert, bounds,
                                      verification_k=None if mode == "proven" else k)
         grown = galois_mod.grow_subset(subset, group, seed=seed + rnd)

@@ -107,9 +107,13 @@ def _independent_bases(draw):
     bits = draw(st.sampled_from([3, 64, 200]))
     entry = st.integers(-2**bits, 2**bits)
     if draw(st.booleans()):
-        # [I | lam * c]: the shape of the relation search's block matrix
-        col = draw(st.lists(entry, min_size=r, max_size=r))
-        return [[int(i == j) for j in range(r)] + [c] for i, c in enumerate(col)]
+        # [I | c ; 0 | m]: the HNF basis of the relation lattice L_k
+        # mod m = p^k that the relation search reduces, for one constraint
+        # with a unit coefficient
+        col = draw(st.lists(st.integers(0, 2**bits), min_size=r - 1, max_size=r - 1))
+        m = draw(st.integers(1, 2**bits))
+        return ([[int(i == j) for j in range(r - 1)] + [c] for i, c in enumerate(col)]
+                + [[0] * (r - 1) + [m]])
     n = draw(st.integers(r, 6))
     rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=r, max_size=r))
     assume(linalg.rank(rows) == r)

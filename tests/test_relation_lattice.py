@@ -1,0 +1,199 @@
+"""The LLL route reduces the relation lattice mod p^k directly.
+
+For targets g_1..g_s with lifted values B_1..B_s (coefficient vectors in
+an unramified extension of degree f_p), the LLL route reduces a basis of
+
+    L_k = {e in Z^s : e_1 B_1 + ... + e_s B_s = 0 mod p^k}
+
+and keeps the rows under the size threshold.  `_block_extract` below is
+the construction it replaced: reduce the (s + f_p)-dimensional block
+matrix [I | lam B ; 0 | lam p^k I] and keep the reduced rows whose
+trailing block vanishes.  Both must give the same lattice, pass by pass,
+so every relation search keeps its output.  A brute-force enumeration of
+(Z/p^k)^s checks the basis of L_k itself, and a structural guard checks
+that LLL only ever sees s columns of entries at most p^k.
+"""
+
+import itertools
+import math
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+import corpus
+from alghull import lattice, padic
+from alghull import polynomials as pol
+from alghull import relations as rel
+
+# ------------------------------------------------------------- reference
+
+
+def _block_extract(targets, ctx, k, threshold_sq):
+    """The block-matrix pass: columns scaled by lam, rows with a zero
+    trailing block under the threshold."""
+    s, f_p = targets.s, ctx.f_p
+    n_bound = rel._shared_bounds(targets, None)[3]  # N does not depend on r
+    lam = max(n_bound**2 * 2 ** (s - 1), math.isqrt(threshold_sq) + 2)
+    roots = ctx.roots(k)
+    b_rows = [padic.eval_target(g, roots).coeffs for g in targets.targets]
+    pk = ctx.p**k
+    big = [tuple(1 if j == i else 0 for j in range(s)) + tuple(lam * c for c in b_rows[i])
+           for i in range(s)]
+    big += [(0,) * s + tuple(lam * pk if l == j else 0 for l in range(f_p))
+            for j in range(f_p)]
+    found = []
+    for row in lattice.lll_reduce(big):
+        lead, tail = row[:s], row[s:]
+        if not any(tail) and any(lead) and sum(x * x for x in lead) <= threshold_sq:
+            found.append(lead)
+    return found
+
+
+def _pass_result(targets, rows, prime, group_order):
+    """What one pass of find_relations_lll keeps: the saturation of the
+    rows that pass the proven zero test."""
+    rows = [e for e in rows if rel._is_proven_relation(e, targets, prime, group_order, 0)]
+    return rel._finalize(rows)
+
+
+def _variables(f):
+    n = len(f) - 1
+    return rel.TargetSet(tuple(f), tuple(rel.ExponentPolynomial.variable(i, n)
+                                         for i in range(n)))
+
+
+def _power_sums(f, e):
+    """The stage-2 targets of the hull for the stage-1 row e."""
+    return rel.TargetSet(tuple(f), tuple(rel.ExponentPolynomial.power_sum(e, i)
+                                         for i in range(len(e))))
+
+
+def _check_passes_match_reference(targets, mode, group_order=None):
+    """Run find_relations_lll, and redo each of its passes with the block
+    matrix: the kept lattices must agree pass by pass.  Returns the result."""
+    passes = []
+    real = rel._lll_extract
+
+    def recorded(targets_, ctx, k, threshold_sq):
+        rows = real(targets_, ctx, k, threshold_sq)
+        passes.append((ctx, k, threshold_sq, rows))
+        return rows
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rel, "_lll_extract", recorded)
+        res = rel.find_relations_lll(targets, mode=mode, group_order=group_order)
+    assert passes
+    for ctx, k, threshold_sq, rows in passes:
+        ref = _block_extract(targets, ctx, k, threshold_sq)
+        assert (_pass_result(targets, rows, ctx.p, group_order)
+                == _pass_result(targets, ref, ctx.p, group_order)), (mode, k)
+    return res
+
+
+# -------------------------------------------------------- differential
+
+
+@st.composite
+def squarefree_polys(draw):
+    """Monic integral squarefree polynomials of degree 1..5, constant
+    term first, coefficients in [-4, 4]."""
+    n = draw(st.integers(1, 5))
+    f = tuple(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))) + (1,)
+    assume(pol.degree(pol.squarefree_part(f)) == n)
+    return f
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(squarefree_polys(), st.sampled_from(["proven", "heuristic"]),
+       st.sampled_from(["stage 1", "stage 2"]))
+def test_relation_lattice_matches_block_matrix(f, mode, stage):
+    targets = _variables(f)
+    if stage == "stage 2":
+        # the hull's stage-2 targets for a stage-1 row (all ones if none)
+        rows = rel.find_relations_lll(targets, mode="heuristic").rows
+        targets = _power_sums(f, rows[0] if rows else (1,) * (len(f) - 1))
+    _check_passes_match_reference(targets, mode)
+
+
+@pytest.mark.parametrize("entry", corpus.CORPUS, ids=lambda e: e.label)
+def test_relation_lattice_matches_block_matrix_on_corpus(entry):
+    targets = _variables(entry.poly)
+    for mode in ("proven", "heuristic"):
+        res = _check_passes_match_reference(targets, mode, group_order=entry.group_order)
+        for e in res.rows[:1]:
+            _check_passes_match_reference(_power_sums(entry.poly, e), mode,
+                                          group_order=entry.group_order)
+
+
+# ------------------------------------------------------- brute force
+
+
+def _brute_force_hnf(b_rows, m):
+    """HNF of L = {e : e B = 0 mod m} from all of (Z/m)^s: row i of a
+    triangular basis is a solution with zeros before column i and the
+    least positive entry in column i (m e_i when there is none)."""
+    s = len(b_rows)
+    cols = list(zip(*b_rows))
+    sols = [v for v in itertools.product(range(m), repeat=s)
+            if all(sum(x * c for x, c in zip(v, col)) % m == 0 for col in cols)]
+    basis = []
+    for i in range(s):
+        cands = [v for v in sols if not any(v[:i]) and v[i]]
+        basis.append(min(cands, key=lambda v: v[i]) if cands
+                     else tuple(m if j == i else 0 for j in range(s)))
+    return lattice.hnf(basis)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_relation_lattice_basis_matches_brute_force(data):
+    # p^k <= 125, s <= 3, and at most 125^2 vectors enumerated
+    s = data.draw(st.integers(1, 3), label="s")
+    p, k = data.draw(st.sampled_from([(p, k) for p in (2, 3, 5, 7, 11)
+                                      for k in range(1, 8)
+                                      if p**k <= 125 and (p**k) ** s <= 125**2]),
+                     label="p, k")
+    f_p = data.draw(st.integers(1, 2), label="f_p")
+    m = p**k
+    b_rows = data.draw(st.lists(st.lists(st.integers(0, m - 1), min_size=f_p,
+                                         max_size=f_p), min_size=s, max_size=s),
+                       label="B")
+    basis = rel._relation_lattice(b_rows, p, k)
+    assert len(basis) == s
+    assert all(0 <= x <= m for row in basis for x in row)
+    assert basis == _brute_force_hnf(b_rows, m)
+
+
+# ------------------------------------------------------- structural guard
+
+
+@pytest.mark.parametrize("poly, prime, f_p", [
+    ((-2, 0, 1), 7, 1),                # x^2 - 2 at 7
+    ((-1, -1, 0, 0, 0, 1), None, 2),   # x^5 - x - 1 (at 67)
+    ((1, 0, 0, 0, 1), 3, 2),           # x^4 + 1 at 3
+    ((1, 1, 1, 1, 1), 2, 4),           # x^4 + x^3 + x^2 + x + 1 at 2
+])
+def test_lll_sees_s_columns_below_p_to_the_k(poly, prime, f_p):
+    targets = _variables(poly)
+    seen = []
+    real = lattice.lll_reduce
+
+    def recorded(rows, *args, **kwargs):
+        seen.append([tuple(r) for r in rows])
+        return real(rows, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "lll_reduce", recorded)
+        res = rel.find_relations_lll(targets, prime=prime)
+    b = res.bounds
+    assert b.f_p == f_p
+    pk = b.p**b.k
+    assert seen
+    for rows in seen:
+        assert all(len(r) == targets.s for r in rows)
+        assert all(abs(x) <= pk for r in rows for x in r)
+    # the pass reduces an HNF basis of L_k: s rows, entries in [0, p^k]
+    assert len(seen[0]) == targets.s
+    assert all(0 <= x <= pk for r in seen[0] for x in r)
