@@ -68,16 +68,17 @@ def hull_semisimple(x, mode: str = "proven", route: str = "lll", group=None, *,
     x = matrices.as_matrix(x)
     config = dict(prime=prime, seed=seed, group_order=group_order)
     mp, powers = matrices._krylov(x)
-    return _hull_semisimple(x, mp, mode, route, group, config, powers)
-
-
-def _hull_semisimple(x, mp, mode, route, group, config, powers=None) -> HullResult:
-    """hull_semisimple for a matrix X whose minimal polynomial is mp;
-    powers, when given, are I, X, ..., X^(deg mp - 1)."""
     if pol.degree(pol.squarefree_part(mp)) != pol.degree(mp):
         raise ValueError(
             "matrix is not semisimple; use hull_matrix for the general case"
         )
+    return _hull_semisimple(x, mp, mode, route, group, config, powers)
+
+
+def _hull_semisimple(x, mp, mode, route, group, config, powers=None) -> HullResult:
+    """hull_semisimple for a matrix X whose minimal polynomial mp is
+    squarefree (the caller checks); powers, when given, are I, X, ...,
+    X^(deg mp - 1)."""
     c = pol.integral_scaling(mp)
     f = pol.to_int_coeffs(pol.scale_roots(mp, c))
     m = len(f) - 1
@@ -130,18 +131,20 @@ def hull_matrix(x, mode: str = "proven", route: str = "lll", group=None, *,
     _check_options(mode, route)
     x = matrices.as_matrix(x)
     config = dict(prime=prime, seed=seed, group_order=group_order)
-    # One minimal polynomial serves both parts: that of S is the squarefree
-    # part of that of X.  When X is semisimple its hull is built from the
-    # powers of X the minimal polynomial's Krylov loop made.
+    # One minimal polynomial and one squarefree part serve both parts: the
+    # minimal polynomial of S is the squarefree part g of that of X.  When X
+    # is semisimple (N = 0, so g = mp) its hull is built from the powers of
+    # X the minimal polynomial's Krylov loop made.
     mp, powers = matrices._krylov(x)
-    s, n_part = matrices._jordan_decomposition(x, mp)
+    g = pol.squarefree_part(mp)
+    s, n_part = matrices._jordan_decomposition(x, mp, g)
     if matrices.is_zero_matrix(n_part):
         return _hull_semisimple(x, mp, mode, route, group, config, powers)
     if matrices.is_zero_matrix(s):
         span = matrices.MatrixSpan([n_part], n=len(x))
         return HullResult(span, "proven", "relation-based",
                           witnesses={"nilpotent_part": True})
-    semi = _hull_semisimple(s, pol.squarefree_part(mp), mode, route, group, config)
+    semi = _hull_semisimple(s, g, mode, route, group, config)
     span = matrices.span_sum(semi.span, matrices.MatrixSpan([n_part], n=len(x)))
     return HullResult(span, semi.certification, semi.route,
                       witnesses=dict(semi.witnesses, nilpotent_part=True))

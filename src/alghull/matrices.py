@@ -212,13 +212,15 @@ def jordan_decomposition(x: Mat) -> tuple[Mat, Mat]:
     """
     if not is_square(x):
         raise DimensionError("Jordan decomposition needs a square matrix")
-    return _jordan_decomposition(x, min_poly(x))
+    mp = min_poly(x)
+    return _jordan_decomposition(x, mp, pol.squarefree_part(mp))
 
 
-def _jordan_decomposition(x: Mat, mp) -> tuple[Mat, Mat]:
-    """jordan_decomposition for a square X whose minimal polynomial is mp."""
+def _jordan_decomposition(x: Mat, mp, g) -> tuple[Mat, Mat]:
+    """jordan_decomposition for a square X whose minimal polynomial is mp,
+    with g = pol.squarefree_part(mp) (the minimal polynomial of S), which
+    the caller computes once and may reuse."""
     n = len(x)
-    g = pol.squarefree_part(mp)
     if pol.degree(g) == pol.degree(mp):
         return x, zero(n)
     gp = pol.derivative(g)

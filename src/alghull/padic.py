@@ -85,13 +85,22 @@ def _selection_at(f: Sequence[int], p: int) -> PrimeSelection:
 SEARCH_LIMIT = 20
 
 
+def _check_prefer(prefer: str) -> None:
+    if prefer not in ("min", "max"):
+        raise ValueError(f"unknown preference {prefer!r}")
+
+
 def select_prime(f: Sequence[int], prefer: str = "min") -> PrimeSelection:
     """Choose a prime among the first SEARCH_LIMIT admissible ones above deg f.
 
     prefer="min" minimizes the splitting degree f_p (ties: smallest p);
     prefer="max" maximizes it, which feeds the Galois-action route more
-    Frobenius columns.
+    Frobenius columns.  Candidates come in increasing order and f_p >= 1,
+    so with prefer="min" the scan stops at the first admissible prime where
+    f splits (f_p = 1): no later prime can beat it.  prefer="max" compares
+    the whole scan.  An unknown preference is a ValueError before any work.
     """
+    _check_prefer(prefer)
     found: list[PrimeSelection] = []
     candidates = _primes_from(len(f))
     for _ in range(10 * SEARCH_LIMIT):
@@ -99,7 +108,10 @@ def select_prime(f: Sequence[int], prefer: str = "min") -> PrimeSelection:
             break
         p = next(candidates)
         if is_admissible(f, p):
-            found.append(_selection_at(f, p))
+            sel = _selection_at(f, p)
+            if prefer == "min" and sel.f_p == 1:
+                return sel
+            found.append(sel)
     if not found:
         raise NoAdmissiblePrime(
             f"no admissible prime for the polynomial among the first "
@@ -107,9 +119,7 @@ def select_prime(f: Sequence[int], prefer: str = "min") -> PrimeSelection:
         )
     if prefer == "min":
         return min(found, key=lambda s: (s.f_p, s.p))
-    if prefer == "max":
-        return min(found, key=lambda s: (-s.f_p, s.p))
-    raise ValueError(f"unknown preference {prefer!r}")
+    return min(found, key=lambda s: (-s.f_p, s.p))
 
 
 # ------------------------------------------------------------------- ring
@@ -574,33 +584,58 @@ def root_context(
     select_prime(f, prefer=prefer) picks when `prime` is None.
 
     f must be monic and squarefree over Q (NotSquarefree otherwise); a
-    fixed prime must be a prime and admissible.  Contexts reached through an automatic
-    and a fixed choice of the same prime are the same object.
+    fixed prime must be a prime and admissible.  An unknown `prefer` is a
+    ValueError on both paths, before any work.  There is one context per
+    (f, p, seed), so an automatic and a fixed choice of the same prime
+    reach the same object; the automatic choice itself is made once per
+    (f, prefer) and shared by every seed.
+
+    An admissible prime proves f squarefree over Q: f is monic, so a
+    square factor over Q is a monic integral square factor, and it stays
+    one mod p.  The gcd over Q therefore runs only when no admissible
+    prime was found or a fixed prime is rejected; it decides which error
+    is raised.
     """
+    _check_prefer(prefer)
     f = tuple(int(c) for c in f)
+    if not f or f[-1] != 1:
+        raise PadicError("polynomial must be monic")
     if prime is not None:
-        return _root_context(f, int(prime), None, int(seed))
-    return _root_context(f, None, prefer, int(seed))
+        return _root_context(f, int(prime), int(seed))
+    sel = _automatic_selection(f, prefer)
+    ctx = _root_context(f, sel.p, int(seed))
+    if ctx._selection is None:
+        ctx._selection = sel
+    return ctx
+
+
+def _require_squarefree(f: tuple[int, ...]) -> None:
+    if pol.degree(pol.gcd(f, pol.derivative(f))) > 0:
+        raise NotSquarefree("polynomial is not squarefree over Q (gcd(f, f') is not constant)")
 
 
 @lru_cache(maxsize=128)
-def _root_context(f: tuple[int, ...], prime: int | None, prefer: str | None,
-                  seed: int) -> RootContext:
-    if not f or f[-1] != 1:
-        raise PadicError("polynomial must be monic")
-    if pol.degree(pol.gcd(f, pol.derivative(f))) > 0:
-        raise NotSquarefree("polynomial is not squarefree over Q (gcd(f, f') is not constant)")
-    if prime is None:
-        sel = select_prime(f, prefer=prefer)
-        ctx = _root_context(f, sel.p, None, seed)
-        if ctx._selection is None:
-            ctx._selection = sel
-        return ctx
-    if not _is_prime(prime):
-        raise PadicError(f"{prime} is not a prime")
-    if not is_admissible(f, prime):
-        raise PadicError(f"prime {prime} is not admissible (f not squarefree mod {prime})")
-    return RootContext(f, prime, seed)
+def _automatic_selection(f: tuple[int, ...], prefer: str) -> PrimeSelection:
+    """select_prime(f, prefer) for a monic f, or NotSquarefree when f has
+    a repeated root (then no prime is admissible)."""
+    try:
+        return select_prime(f, prefer=prefer)
+    except NoAdmissiblePrime:
+        _require_squarefree(f)
+        raise
+
+
+@lru_cache(maxsize=128)
+def _root_context(f: tuple[int, ...], p: int, seed: int) -> RootContext:
+    """The context of a monic f at a fixed prime p: NotSquarefree before
+    any error about p when f has a repeated root over Q."""
+    if not _is_prime(p):
+        _require_squarefree(f)
+        raise PadicError(f"{p} is not a prime")
+    if not is_admissible(f, p):
+        _require_squarefree(f)
+        raise PadicError(f"prime {p} is not admissible (f not squarefree mod {p})")
+    return RootContext(f, p, seed)
 
 
 @lru_cache(maxsize=256)

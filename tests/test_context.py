@@ -27,15 +27,6 @@ import corpus
 SQUARE = (1, -2, 1)  # (x - 1)^2
 
 
-@pytest.fixture
-def cold_contexts():
-    padic._root_context.cache_clear()
-    padic.cached_roots.cache_clear()
-    yield
-    padic._root_context.cache_clear()
-    padic.cached_roots.cache_clear()
-
-
 def _coeffs(roots):
     return [r.coeffs for r in roots.roots]
 

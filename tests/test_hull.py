@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import corpus
 import trace_criterion
 from alghull import galois, hull, matrices
+from alghull import polynomials as pol
 
 
 def companion(poly):
@@ -116,6 +117,39 @@ def test_hull_lie_algebra_rejects_a_group_before_any_work(monkeypatch):
     for gens in ([[[0, 2], [1, 0]], [[1, 0], [0, 1]]], [[[0, 2], [1, 0]]]):
         with pytest.raises(ValueError, match="takes no group"):
             hull.hull_lie_algebra(gens, route="galois", group=group)
+
+
+@pytest.mark.parametrize("x", [
+    [[0, 2], [1, 0]],  # semisimple: the squarefree part is mp itself
+    [[1, 1], [0, 1]],  # unipotent: S = I
+    [[2, 1, 0], [0, 2, 0], [0, 0, 3]],  # S and N both nonzero
+], ids=["semisimple", "unipotent", "mixed"])
+def test_hull_matrix_takes_one_squarefree_part(monkeypatch, x):
+    calls = []
+    squarefree_part = pol.squarefree_part
+
+    def counting(f):
+        calls.append(f)
+        return squarefree_part(f)
+
+    monkeypatch.setattr(pol, "squarefree_part", counting)
+    res = hull.hull_matrix(x)
+    assert len(calls) == 1
+    assert res.span.contains(matrices.as_matrix(x))
+
+
+def test_hull_semisimple_rejects_a_non_semisimple_matrix_before_any_search(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("relation search ran")
+
+    monkeypatch.setattr(hull.rel, "find_relations_lll", no_work)
+    monkeypatch.setattr(hull.rel, "find_relations_galois", no_work)
+    monkeypatch.setattr(hull.padic, "root_context", no_work)
+    for x in ([[1, 1], [0, 1]], [[2, 1, 0], [0, 2, 0], [0, 0, 3]]):
+        for route in ("lll", "galois"):
+            with pytest.raises(ValueError, match="^matrix is not semisimple; use "
+                                                 "hull_matrix for the general case$"):
+                hull.hull_semisimple(x, route=route)
 
 
 def test_is_algebraic():
