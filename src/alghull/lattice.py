@@ -40,19 +40,7 @@ def lll_reduce(rows: Sequence[Sequence[int]], delta: Fraction = Fraction(3, 4)):
     if len({len(row) for row in b}) > 1:
         raise ValueError("lll_reduce needs rows of equal length")
     n = len(b)
-    d = [1] * (n + 1)
-    lam = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            u = sum(x * y for x, y in zip(b[i], b[j]))
-            for l in range(j):
-                u = (d[l + 1] * u - lam[i][l] * lam[j][l]) // d[l]
-            if j < i:
-                lam[i][j] = u
-            else:
-                d[i + 1] = u
-        if d[i + 1] == 0:
-            raise ValueError("lll_reduce needs linearly independent rows")
+    d, lam = _gram_data(b)
 
     def reduce_row(i, j):
         dj = d[j + 1]
@@ -86,6 +74,34 @@ def lll_reduce(rows: Sequence[Sequence[int]], delta: Fraction = Fraction(3, 4)):
             d[i] = new_d
             i = max(i - 1, 1)
     return tuple(tuple(row) for row in b)
+
+
+def _gram_data(b: list[list[int]]):
+    """Integer Gram-Schmidt data of independent rows b (Cohen, Alg. 2.6.7):
+    d[0] = 1, d[i+1] the Gram determinant of rows 0..i, and lam[i][j] =
+    d[j+1] mu[i][j] for j < i."""
+    n = len(b)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            u = sum(x * y for x, y in zip(b[i], b[j]))
+            for l in range(j):
+                u = (d[l + 1] * u - lam[i][l] * lam[j][l]) // d[l]
+            if j < i:
+                lam[i][j] = u
+            else:
+                d[i + 1] = u
+        if d[i + 1] == 0:
+            raise ValueError("lll_reduce needs linearly independent rows")
+    return d, lam
+
+
+def gram_determinants(rows: Sequence[Sequence[int]]) -> list[int]:
+    """[d_0, ..., d_n]: d_0 = 1 and d_i the Gram determinant of the first i
+    of the linearly independent rows, so the i-th Gram-Schmidt vector
+    (from 1) has squared norm d_i / d_(i-1).  Integers, as in lll_reduce."""
+    return _gram_data(_int_rows(rows))[0]
 
 
 def gram_schmidt_data(rows: Sequence[Sequence[int]]):

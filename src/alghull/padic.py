@@ -340,6 +340,13 @@ class ApproxRoots:
 # failed trials on one factor.
 SPLIT_TRIALS = 200
 
+# Field elements per root up to which residue_roots searches the residue
+# field exhaustively: timed on products of 2, 4 and 8 distinct linear
+# factors over fields of 3 to 2401 elements (2-core x86_64, Python
+# 3.11.7, the x^q = x check included in splitting), the exhaustive search
+# was the faster one up to about 32 elements per root, splitting above.
+EXHAUSTIVE_PER_ROOT = 32
+
 
 def _trim(f: list) -> list:
     while f and f[-1].is_zero():
@@ -396,9 +403,11 @@ def _monic_gcd(a: list, b: list) -> list:
 def residue_roots(f: list, seed: int = 0) -> list:
     """All roots of a squarefree monic f that splits over the residue field.
 
-    f is a polynomial over one ring at precision 1.  Fields of at most
-    4096 elements are searched exhaustively; larger ones are split by
-    equal-degree splitting (seeded, Las Vegas) once f is known to divide
+    f is a polynomial over one ring at precision 1.  A field of q elements
+    is searched exhaustively when q <= EXHAUSTIVE_PER_ROOT deg f, where
+    that is the faster search, and in characteristic 2 up to 4096
+    elements, where splitting cannot run; otherwise f is split by
+    equal-degree splitting (seeded, Las Vegas) once it is known to divide
     x^q - x.  Raises ValueError when f does not split into distinct
     linear factors.
     """
@@ -407,7 +416,7 @@ def residue_roots(f: list, seed: int = 0) -> list:
         return []
     ring = f[0].ring
     q = ring.p**ring.degree
-    if q <= 4096:
+    if q <= EXHAUSTIVE_PER_ROOT * n or (ring.p == 2 and q <= 4096):
         roots = []
         for coords in itertools.product(range(ring.p), repeat=ring.degree):
             a = PadicElement(ring, coords)
@@ -461,10 +470,16 @@ def lift_roots(f: Sequence[int], ring: UnramifiedRing, seed: int = 0) -> ApproxR
     f = tuple(int(c) for c in f)
     if f[-1] != 1:
         raise PadicError("polynomial must be monic")
-    if not is_admissible(f, ring.p):
-        raise PadicError(f"polynomial is not squarefree mod {ring.p}")
     base = ring.at_precision(1)
-    residues = residue_roots([base.from_int(c) for c in f], seed=seed)
+    try:
+        residues = residue_roots([base.from_int(c) for c in f], seed=seed)
+    except ValueError:
+        # f has n distinct residue roots only if it is squarefree mod p, so
+        # admissibility is tested on failure alone: root_context has
+        # already tested it for every ring it lifts in.
+        if not is_admissible(f, ring.p):
+            raise PadicError(f"polynomial is not squarefree mod {ring.p}") from None
+        raise
     start = ApproxRoots(base, tuple(sorted(residues, key=lambda r: r.coeffs)), f)
     return increase_precision(start, ring.k)
 

@@ -8,11 +8,12 @@ whether a single expression vanishes and computes a Z-basis of
 
 Everything runs through approximate roots in an unramified extension of
 Q_p; no splitting field is ever constructed.  Two routes are available.
-The LLL route reduces a basis of the relation lattice mod p^k,
+The LLL route reduces the relation lattice mod p^k,
 
     L_k = {e in Z^s : e_1 g_1(a) + ... + e_s g_s(a) = 0 mod p^k},
 
-which contains Lambda, and keeps its short rows.  The other route
+which contains Lambda, climbing to k in rungs and pruning the rows too
+long to matter, and keeps its short rows.  The other route
 accumulates constraints from a permutation action on the roots.  A "proven" run picks the p-adic precision from a
 norm bound so the answers are unconditionally correct; a "heuristic" run
 starts with a small precision and verifies its candidates afterwards.
@@ -20,6 +21,7 @@ starts with a small precision and verifies its candidates afterwards.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -259,22 +261,74 @@ def _shared_bounds(targets: TargetSet, group_order):
 
 def _relation_lattice(b_rows, p: int, k: int):
     """HNF basis of L_k = {e in Z^s : e B = 0 mod p^k}, B the s rows
-    b_rows: the generators of the nullspace of B mod p^k together with
-    p^k I.  It has s rows, and its entries lie in [0, p^k]."""
+    b_rows.  It has s rows, and its entries lie in [0, p^k].
+
+    It is read off the Howell form of the nullspace of B mod p^k.  By the
+    Howell property, the elements of L_k with zeros before column j have
+    j-th entry in p^v Z when a Howell row has pivot p^v in column j, and
+    in p^k Z when none does.  So the lifted Howell rows, sorted by pivot,
+    with p^k e_j for each column j without a pivot, are a triangular basis
+    of L_k with the HNF's diagonal; reducing above the pivots, column by
+    column from the left, leaves the HNF.
+    """
     pk = p**k
     s = len(b_rows)
-    gens = list(lattice.nullspace_mod(b_rows, p, k))
-    gens.extend(tuple(pk if j == i else 0 for j in range(s)) for i in range(s))
-    return lattice.hnf(gens)
+    by_pivot = {next(j for j, x in enumerate(row) if x): list(row)
+                for row in lattice.nullspace_mod(b_rows, p, k)}
+    rows = [by_pivot.get(j) or [pk if i == j else 0 for i in range(s)] for j in range(s)]
+    for j, row in enumerate(rows):
+        for i in range(j):
+            q = rows[i][j] // row[j]
+            if q:
+                rows[i] = [a - q * b for a, b in zip(rows[i], row)]
+    return tuple(tuple(row) for row in rows)
 
 
-def _lll_extract(targets: TargetSet, ctx: padic.RootContext, k: int,
-                 threshold_sq: int):
-    """One pass: lift, LLL-reduce a basis of L_k, keep the short rows."""
-    roots = ctx.roots(k)
-    b_rows = [padic.eval_target(g, roots).coeffs for g in targets.targets]
-    reduced = lattice.lll_reduce(_relation_lattice(b_rows, ctx.p, k))
-    return [row for row in reduced if sum(x * x for x in row) <= threshold_sq]
+# Bits of p^k that one rung of the precision ladder climbs (see _climb).
+RUNG_BITS = 128
+
+
+def _climb(b_rows, p: int, basis, k_from: int, k: int, threshold_sq: int):
+    """One pass of the precision ladder, from k_from up to k.
+
+    b_rows is B at precision k or higher.  basis is an LLL-reduced basis
+    of a lattice M with Lambda <= M <= L_k_from (Z^s at k_from = 0); the
+    result is one for k.  Each rung from k' to k'' (p^(k''-k') about
+    2^RUNG_BITS) reduces B mod p^k'': W_i = (M_i B mod p^k'') / p^k' is
+    integral because M <= L_k', and with C = _relation_lattice(W, p,
+    k''-k') the rows of C M are a basis of M meet L_k''.  After LLL, each
+    trailing row whose Gram-Schmidt vector has squared norm above
+    threshold_sq is dropped.  That keeps every vector v of squared norm at
+    most threshold_sq, since ||v|| >= ||b_h*|| for the last row b_h that v
+    uses, and Lambda is generated by vectors of squared norm at most
+    s N^2 <= threshold_sq; so Lambda <= M on every rung.
+    """
+    step = max(1, int(RUNG_BITS / math.log2(p)))
+    shift = p**k_from
+    while basis and k_from < k:
+        k_to = min(k_from + step, k)
+        pk = p**k_to
+        w = [tuple((sum(m * b for m, b in zip(row, col) if m) % pk) // shift
+                   for col in zip(*b_rows))
+             for row in basis]
+        cols = tuple(zip(*basis))
+        basis = lattice.lll_reduce(
+            [[sum(x * y for x, y in zip(crow, col) if x) for col in cols]
+             for crow in _relation_lattice(w, p, k_to - k_from)])
+        d = lattice.gram_determinants(basis)
+        keep = len(basis)
+        while keep and d[keep] > threshold_sq * d[keep - 1]:
+            keep -= 1
+        basis = basis[:keep]
+        k_from, shift = k_to, pk
+    return basis
+
+
+def _zero_tester(targets: TargetSet, prime, group_order, seed):
+    """_is_proven_relation on the row tuples of one search, run at most
+    once per row; the answers go when the search ends."""
+    return functools.cache(
+        lambda e: _is_proven_relation(e, targets, prime, group_order, seed))
 
 
 def _finalize(rows):
@@ -294,11 +348,13 @@ def find_relations_lll(
     """Z-basis of the relation lattice via LLL on L_k.
 
     B_i is the coefficient vector of the lifted value of g_i, and L_k =
-    {e : sum e_i B_i = 0 mod p^k} contains Lambda.  LLL reduces the HNF
-    basis of L_k (dimension s, entries at most p^k).  At proven precision
-    the reduced rows under the size threshold are relations and include
+    {e : sum e_i B_i = 0 mod p^k} contains Lambda.  One precision ladder
+    per search (_climb) keeps an LLL-reduced basis of a lattice M with
+    Lambda <= M <= L_k, in dimension at most s.  At proven precision the
+    rows of M under the size threshold are relations and include
     rank(Lambda) independent ones, so their saturation is Lambda; each is
-    re-verified independently anyway.
+    re-verified independently anyway.  Heuristic mode's passes at
+    doubling precisions are rungs of the same ladder.
     """
     check_mode(mode)
     ctx = padic.root_context(targets.f, prime, seed=seed)
@@ -306,8 +362,8 @@ def find_relations_lll(
     s = targets.s
     m_prime, m, r, n_bound = _shared_bounds(targets, group_order)
     # Size threshold for genuine rows: Lambda has a basis of sup-norm
-    # <= N, so a reduced basis of L_k (dimension s) starts with rank
-    # Lambda rows of squared 2-norm at most 2^(s-1) * s * N^2 (the LLL
+    # <= N, so a reduced basis of any lattice between Lambda and L_k
+    # (dimension at most s) starts with rank Lambda rows of squared 2-norm at most 2^(s-1) * s * N^2 (the LLL
     # bound for delta = 3/4, the reduction every search here runs).  The
     # threshold allows the larger bound of dimension s + f_p, and k_proven
     # follows from it: a tighter threshold would lower the certified
@@ -318,11 +374,18 @@ def find_relations_lll(
     t_bound = math.isqrt(threshold_sq) + 1
     k_proven = proven_precision(sel.p, sel.f_p, t_bound * m * s, r)
 
+    is_relation = _zero_tester(targets, sel.p, group_order, seed)
+    basis = tuple(tuple(int(i == j) for j in range(s)) for i in range(s))
+    k_at = 0
+
     def pass_at(k):
-        rows = _lll_extract(targets, ctx, k, threshold_sq)
-        rows = [e for e in rows
-                if _is_proven_relation(e, targets, sel.p, group_order, seed)]
-        return _finalize(rows)
+        nonlocal basis, k_at
+        roots = ctx.roots(k)
+        b_rows = [padic.eval_target(g, roots).coeffs for g in targets.targets]
+        basis = _climb(b_rows, sel.p, basis, k_at, k, threshold_sq)
+        k_at = k
+        return _finalize([e for e in basis if sum(x * x for x in e) <= threshold_sq
+                          and is_relation(e)])
 
     if mode == "proven":
         final = pass_at(k_proven)
@@ -423,6 +486,7 @@ def find_relations_galois(
     else:
         k = max(2, math.ceil(1.5 * math.log(max(n_bound, 2)) / math.log(sel.p)))
 
+    is_relation = _zero_tester(targets, sel.p, group_order, seed)
     subset = galois_mod.initial_subset(n)
     validated = False
     stuck = 0
@@ -444,8 +508,7 @@ def find_relations_galois(
         if rec is not None:
             final = _finalize(rec)
             ok = all(max(abs(x) for x in row) <= n_bound for row in final)
-            if ok and all(_is_proven_relation(e, targets, sel.p, group_order, seed)
-                          for e in final):
+            if ok and all(is_relation(e) for e in final):
                 cert = "proven" if mode == "proven" else "heuristic-verified"
                 bounds = BoundData(m_prime, m, r, n_bound, k, sel.p, sel.f_p)
                 return RelationBasis(tuple(final), cert, bounds,

@@ -249,15 +249,16 @@ def _brute_force_roots(f, omega, p):
 @given(st.data())
 def test_residue_roots_match_brute_force(data):
     # f = prod (x - beta) over distinct beta in GF(p^m), odd p < 30, m <= 3:
-    # both root-finding paths (exhaustive for q <= 4096, splitting above)
-    # and the splitter called directly find exactly the field's roots of f.
+    # both root-finding paths (exhaustive for q <= EXHAUSTIVE_PER_ROOT deg f,
+    # splitting above) and the splitter called directly find exactly the
+    # field's roots of f.
     p = data.draw(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29]), label="p")
     m = data.draw(st.integers(1, 3), label="m")
     ring = padic.build_unramified(p, m, 1, seed=data.draw(st.integers(0, 3), label="seed"))
-    event("splitting" if p**m > 4096 else "exhaustive")
     coords = st.tuples(*[st.integers(0, p - 1)] * m)
     betas = data.draw(st.lists(coords, min_size=1, max_size=min(4, p**m), unique=True),
                       label="betas")
+    event("exhaustive" if p**m <= padic.EXHAUSTIVE_PER_ROOT * len(betas) else "splitting")
     f = [ring.one()]
     for beta in betas:  # f *= x - beta
         f = [low - ring.element(beta) * c for c, low in zip(f + [ring.zero()], [ring.zero()] + f)]

@@ -9,7 +9,8 @@ tests compare the two on random squarefree polynomials, the corpus and the
 minimal polynomials the benchmark's Lie-algebra hulls meet.  The other
 tests pin what the set-up must not do: factor more than it needs, run the
 gcd over Q when an admissible prime already proves f squarefree, build two
-contexts for one (f, p, seed), or change which error a bad input raises.
+contexts for one (f, p, seed), test a context's prime twice, or change
+which error a bad input raises.
 """
 
 import importlib.util
@@ -208,3 +209,26 @@ def test_one_context_per_polynomial_prime_and_seed(monkeypatch, cold_contexts):
     # every seed shares the automatic choice
     assert padic.root_context(polys[0], seed=1).p == contexts[0].p
     assert counts["select_prime"] == len(polys)
+
+
+def test_a_context_tests_its_prime_once(monkeypatch, cold_contexts):
+    # root_context tests a fixed prime for admissibility; the lift inside
+    # the context does not test it again
+    primes = {e.poly: padic.root_context(e.poly, prefer=prefer).p
+              for e in corpus.CORPUS for prefer in ("min", "max")}
+    padic._root_context.cache_clear()
+    counts = {}
+    _counting(monkeypatch, counts, padic, "is_admissible")
+    for f, p in primes.items():
+        padic.root_context(f, prime=p).roots(3)
+        padic.root_context(f, prime=p, seed=1).roots(6)
+    assert counts["is_admissible"] == 2 * len(primes)
+
+
+@pytest.mark.parametrize("f, p", [
+    ((-2, 0, 1), 2),    # x^2 mod 2, found by the exhaustive search
+    ((68, -2, 1), 67),  # (x - 1)^2 mod 67, found by the split check
+])
+def test_lift_roots_rejects_an_inadmissible_prime(f, p):
+    with pytest.raises(padic.PadicError, match=f"^polynomial is not squarefree mod {p}$"):
+        padic.lift_roots(f, padic.build_unramified(p, 1, 3))

@@ -5,13 +5,17 @@ an unramified extension of degree f_p), the LLL route reduces a basis of
 
     L_k = {e in Z^s : e_1 B_1 + ... + e_s B_s = 0 mod p^k}
 
-and keeps the rows under the size threshold.  `_block_extract` below is
-the construction it replaced: reduce the (s + f_p)-dimensional block
-matrix [I | lam B ; 0 | lam p^k I] and keep the reduced rows whose
-trailing block vanishes.  Both must give the same lattice, pass by pass,
-so every relation search keeps its output.  A brute-force enumeration of
-(Z/p^k)^s checks the basis of L_k itself, and a structural guard checks
-that LLL only ever sees s columns of entries at most p^k.
+and keeps the rows under the size threshold.  It gets there by a
+precision ladder (`_climb`): an LLL-reduced basis of a lattice M with
+Lambda <= M <= L_k is carried from rung to rung, and rows whose
+Gram-Schmidt vectors are too long to matter are pruned.  `_block_extract`
+below is the construction the route started from: reduce the
+(s + f_p)-dimensional block matrix [I | lam B ; 0 | lam p^k I] and keep
+the reduced rows whose trailing block vanishes.  Both must give the same
+lattice, pass by pass, so every relation search keeps its output.
+Brute-force enumerations of (Z/p^k)^s check the basis of L_k itself and
+that pruning keeps every short vector of L_k, and a structural guard
+checks that LLL only ever sees s columns, one rung of precision at a time.
 """
 
 import itertools
@@ -71,20 +75,23 @@ def _power_sums(f, e):
 
 def _check_passes_match_reference(targets, mode, group_order=None):
     """Run find_relations_lll, and redo each of its passes with the block
-    matrix: the kept lattices must agree pass by pass.  Returns the result."""
+    matrix: the rows each pass keeps (those of the ladder's basis under the
+    threshold) must give the same lattice.  Returns the result."""
     passes = []
-    real = rel._lll_extract
+    real = rel._climb
 
-    def recorded(targets_, ctx, k, threshold_sq):
-        rows = real(targets_, ctx, k, threshold_sq)
-        passes.append((ctx, k, threshold_sq, rows))
-        return rows
+    def recorded(b_rows, p, basis, k_from, k, threshold_sq):
+        out = real(b_rows, p, basis, k_from, k, threshold_sq)
+        rows = [e for e in out if sum(x * x for x in e) <= threshold_sq]
+        passes.append((p, k, threshold_sq, rows))
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rel, "_lll_extract", recorded)
+        mp.setattr(rel, "_climb", recorded)
         res = rel.find_relations_lll(targets, mode=mode, group_order=group_order)
     assert passes
-    for ctx, k, threshold_sq, rows in passes:
+    for p, k, threshold_sq, rows in passes:
+        ctx = padic.root_context(targets.f, p)
         ref = _block_extract(targets, ctx, k, threshold_sq)
         assert (_pass_result(targets, rows, ctx.p, group_order)
                 == _pass_result(targets, ref, ctx.p, group_order)), (mode, k)
@@ -166,6 +173,64 @@ def test_relation_lattice_basis_matches_brute_force(data):
     assert basis == _brute_force_hnf(b_rows, m)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_relation_lattice_is_the_hnf_of_its_generators(data):
+    # L_k read off the Howell rows equals the HNF of the generators it
+    # comes from: the nullspace of B mod p^k together with p^k I
+    s = data.draw(st.integers(1, 6), label="s")
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 31, 67]), label="p")
+    k = data.draw(st.integers(1, 40), label="k")
+    f_p = data.draw(st.integers(1, 3), label="f_p")
+    m = p**k
+    entry = st.tuples(st.integers(0, m - 1), st.integers(0, k)).map(
+        lambda xa: xa[0] * p ** xa[1] % m)  # zero divisors as well as units
+    b_rows = data.draw(st.lists(st.lists(entry, min_size=f_p, max_size=f_p),
+                                min_size=s, max_size=s), label="B")
+    gens = list(lattice.nullspace_mod(b_rows, p, k))
+    gens.extend(tuple(m if j == i else 0 for j in range(s)) for i in range(s))
+    assert rel._relation_lattice(b_rows, p, k) == lattice.hnf(gens)
+
+
+# ------------------------------------------------------------- pruning
+
+
+def _in_lattice(v, b_rows, m):
+    return all(sum(x * c for x, c in zip(v, col)) % m == 0 for col in zip(*b_rows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_pruning_keeps_every_short_vector(data):
+    # p^k <= 125, s <= 3: the ladder, climbed in one pass or two, and in
+    # one rung or one rung per power of p, keeps an LLL-reduced basis of a
+    # sublattice of L_k that holds every v in L_k with ||v||^2 <= T
+    s = data.draw(st.integers(1, 3), label="s")
+    p, k = data.draw(st.sampled_from([(p, k) for p in (2, 3, 5, 7, 11)
+                                      for k in range(1, 8) if p**k <= 125]),
+                     label="p, k")
+    f_p = data.draw(st.integers(1, 2), label="f_p")
+    m = p**k
+    b_rows = data.draw(st.lists(st.lists(st.integers(0, m - 1), min_size=f_p,
+                                         max_size=f_p), min_size=s, max_size=s),
+                       label="B")
+    threshold_sq = data.draw(st.integers(1, 60), label="T")
+    k_mid = data.draw(st.integers(0, k), label="first pass up to")
+    rung_bits = data.draw(st.sampled_from([rel.RUNG_BITS, 1]), label="rung bits")
+    basis = tuple(tuple(int(i == j) for j in range(s)) for i in range(s))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rel, "RUNG_BITS", rung_bits)
+        basis = rel._climb(b_rows, p, basis, 0, k_mid, threshold_sq)
+        basis = rel._climb(b_rows, p, basis, k_mid, k, threshold_sq)
+    assert all(_in_lattice(row, b_rows, m) for row in basis)
+    assert lattice.is_lll_reduced(basis)
+    kept = lattice.hnf(basis)
+    r = math.isqrt(threshold_sq)
+    for v in itertools.product(range(-r, r + 1), repeat=s):
+        if sum(x * x for x in v) <= threshold_sq and _in_lattice(v, b_rows, m):
+            assert lattice.hnf(list(basis) + [v]) == kept, v
+
+
 # ------------------------------------------------------- structural guard
 
 
@@ -192,8 +257,19 @@ def test_lll_sees_s_columns_below_p_to_the_k(poly, prime, f_p):
     pk = b.p**b.k
     assert seen
     for rows in seen:
+        assert len(rows) <= targets.s
         assert all(len(r) == targets.s for r in rows)
         assert all(abs(x) <= pk for r in rows for x in r)
-    # the pass reduces an HNF basis of L_k: s rows, entries in [0, p^k]
+    # the first rung reduces an HNF basis of L_k1, with p^k1 at most
+    # 2^RUNG_BITS: s rows, entries in [0, p^k1]
+    step = max(1, int(rel.RUNG_BITS / math.log2(b.p)))
+    pk1 = b.p ** min(step, b.k)
+    assert pk1 <= 2**rel.RUNG_BITS
     assert len(seen[0]) == targets.s
-    assert all(0 <= x <= pk for r in seen[0] for x in r)
+    assert all(0 <= x <= pk1 for r in seen[0] for x in r)
+    # one reduction per rung and one of the final rows; Lambda <= M keeps
+    # every rung's basis nonempty when Lambda is not 0
+    rungs = -(-b.k // step)
+    assert len(seen) <= rungs + 1
+    if res.rows:
+        assert len(seen) == rungs + 1

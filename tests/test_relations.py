@@ -145,6 +145,39 @@ def test_routes_agree_on_corpus():
         assert a.certification == b.certification == "proven"
 
 
+def test_each_row_is_zero_tested_once_per_search(monkeypatch):
+    # heuristic passes and escalation rounds meet the same rows again; the
+    # proven zero test runs once per row and search, and its answers do not
+    # outlive the search
+    calls = []
+    real = rel._is_proven_relation
+
+    def counting(e, *args):
+        calls.append(tuple(e))
+        return real(e, *args)
+
+    monkeypatch.setattr(rel, "_is_proven_relation", counting)
+    repeated = 0
+    for entry in corpus.CORPUS:
+        ts = variables(entry.poly)
+        p = corpus.prime_for(entry)
+        for mode in ("proven", "heuristic"):
+            for search in (
+                lambda: rel.find_relations_lll(ts, mode=mode, prime=p,
+                                               group_order=entry.group_order),
+                lambda: rel.find_relations_galois(ts, corpus.group_for(entry), mode=mode,
+                                                  prime=p, group_order=entry.group_order),
+            ):
+                calls.clear()
+                search()
+                assert len(calls) == len(set(calls)), entry.label
+                first = len(calls)
+                search()
+                repeated += first
+                assert len(calls) == 2 * first, entry.label
+    assert repeated > 0
+
+
 def test_soundness_and_completeness_sampling():
     rng = random.Random(61)
     for entry in corpus.CORPUS[:9]:  # the quadratics and quartics
