@@ -14,9 +14,10 @@ The LLL route reduces the relation lattice mod p^k,
 
 which contains Lambda, climbing to k in rungs and pruning the rows too
 long to matter, and keeps its short rows.  The other route
-accumulates constraints from a permutation action on the roots.  A "proven" run picks the p-adic precision from a
-norm bound so the answers are unconditionally correct; a "heuristic" run
-starts with a small precision and verifies its candidates afterwards.
+accumulates constraints from a permutation action on the roots.  Each
+row returned passes a zero test at a precision picked from a norm bound,
+so the answers are unconditionally correct.  A "heuristic" run differs
+only on the permutation route, where it starts at a smaller precision.
 """
 
 from __future__ import annotations
@@ -136,13 +137,17 @@ class BoundData:
 @dataclass(frozen=True)
 class RelationBasis:
     rows: tuple
-    certification: str  # "proven" | "heuristic-verified"
+    certification: str  # "proven" | "heuristic-verified" (permutation route)
     bounds: BoundData
-    verification_k: int | None = None
 
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+    @property
+    def verification_k(self) -> int | None:
+        """The precision a heuristic answer was verified at, else None."""
+        return self.bounds.k if self.certification == "heuristic-verified" else None
 
 
 # ----------------------------------------------------------------- bounds
@@ -160,11 +165,16 @@ def embedding_bound(g: ExponentPolynomial, m_prime: int) -> int:
     return sum(abs(c) * m_prime ** sum(exps) for c, exps in g.terms)
 
 
-def degree_bound(f: Sequence[int], group_order: int | None = None) -> int:
-    """Upper bound on the degree of the splitting field of f over Q."""
+def degree_bound(f: Sequence[int], group_order: int | None = None, f_p: int = 1) -> int:
+    """Upper bound on the degree of the splitting field of f over Q.  A
+    group order must be a multiple of f_p, the order of Frobenius at the
+    working prime."""
     if group_order is not None:
         if group_order < 1:
             raise ValueError("group order must be positive")
+        if group_order % f_p:
+            raise ValueError(f"group order {group_order} is not a multiple of "
+                             f"f_p = {f_p}, the order of Frobenius at the working prime")
         return int(group_order)
     return math.factorial(max(len(f) - 1, 1))
 
@@ -217,7 +227,7 @@ def zero_test(
         return True, BoundData(1, 1, 1, 1, 1, sel.p, sel.f_p)
     m_prime = complex_root_bound(f)
     m = max(embedding_bound(g, m_prime), 1)
-    r = degree_bound(f, group_order)
+    r = degree_bound(f, group_order, sel.f_p)
     k_proven = proven_precision(sel.p, sel.f_p, m, r)
     if mode == "proven":
         k_use = k_proven
@@ -251,10 +261,10 @@ def _is_proven_relation(e, targets: TargetSet, prime, group_order, seed) -> bool
 
 # -------------------------------------------------------------- LLL route
 
-def _shared_bounds(targets: TargetSet, group_order):
+def _shared_bounds(targets: TargetSet, group_order, f_p: int):
     m_prime = complex_root_bound(targets.f)
     m = max(max((embedding_bound(g, m_prime) for g in targets.targets)), 1)
-    r = degree_bound(targets.f, group_order)
+    r = degree_bound(targets.f, group_order, f_p)
     n_bound = masser_bound(targets.s, m)
     return m_prime, m, r, n_bound
 
@@ -288,12 +298,12 @@ def _relation_lattice(b_rows, p: int, k: int):
 RUNG_BITS = 128
 
 
-def _climb(b_rows, p: int, basis, k_from: int, k: int, threshold_sq: int):
-    """One pass of the precision ladder, from k_from up to k.
+def _climb(b_rows, p: int, k: int, threshold_sq: int):
+    """The precision ladder from Z^s up to L_k.
 
-    b_rows is B at precision k or higher.  basis is an LLL-reduced basis
-    of a lattice M with Lambda <= M <= L_k_from (Z^s at k_from = 0); the
-    result is one for k.  Each rung from k' to k'' (p^(k''-k') about
+    b_rows is B at precision k or higher.  The ladder keeps an LLL-reduced
+    basis of a lattice M with Lambda <= M <= L_k' at each rung k', from
+    M = Z^s at k' = 0.  Each rung from k' to k'' (p^(k''-k') about
     2^RUNG_BITS) reduces B mod p^k'': W_i = (M_i B mod p^k'') / p^k' is
     integral because M <= L_k', and with C = _relation_lattice(W, p,
     k''-k') the rows of C M are a basis of M meet L_k''.  After LLL, each
@@ -303,8 +313,10 @@ def _climb(b_rows, p: int, basis, k_from: int, k: int, threshold_sq: int):
     uses, and Lambda is generated by vectors of squared norm at most
     s N^2 <= threshold_sq; so Lambda <= M on every rung.
     """
+    s = len(b_rows)
+    basis = tuple(tuple(int(i == j) for j in range(s)) for i in range(s))
     step = max(1, int(RUNG_BITS / math.log2(p)))
-    shift = p**k_from
+    k_from, shift = 0, 1
     while basis and k_from < k:
         k_to = min(k_from + step, k)
         pk = p**k_to
@@ -322,13 +334,6 @@ def _climb(b_rows, p: int, basis, k_from: int, k: int, threshold_sq: int):
         basis = basis[:keep]
         k_from, shift = k_to, pk
     return basis
-
-
-def _zero_tester(targets: TargetSet, prime, group_order, seed):
-    """_is_proven_relation on the row tuples of one search, run at most
-    once per row; the answers go when the search ends."""
-    return functools.cache(
-        lambda e: _is_proven_relation(e, targets, prime, group_order, seed))
 
 
 def _finalize(rows):
@@ -353,14 +358,14 @@ def find_relations_lll(
     Lambda <= M <= L_k, in dimension at most s.  At proven precision the
     rows of M under the size threshold are relations and include
     rank(Lambda) independent ones, so their saturation is Lambda; each is
-    re-verified independently anyway.  Heuristic mode's passes at
-    doubling precisions are rungs of the same ladder.
+    re-verified independently anyway.  mode="heuristic" is accepted and
+    runs the same search: the answer is "proven" in both modes.
     """
     check_mode(mode)
     ctx = padic.root_context(targets.f, prime, seed=seed)
     sel = ctx.selection
     s = targets.s
-    m_prime, m, r, n_bound = _shared_bounds(targets, group_order)
+    m_prime, m, r, n_bound = _shared_bounds(targets, group_order, sel.f_p)
     # Size threshold for genuine rows: Lambda has a basis of sup-norm
     # <= N, so a reduced basis of any lattice between Lambda and L_k
     # (dimension at most s) starts with rank Lambda rows of squared 2-norm at most 2^(s-1) * s * N^2 (the LLL
@@ -374,37 +379,13 @@ def find_relations_lll(
     t_bound = math.isqrt(threshold_sq) + 1
     k_proven = proven_precision(sel.p, sel.f_p, t_bound * m * s, r)
 
-    is_relation = _zero_tester(targets, sel.p, group_order, seed)
-    basis = tuple(tuple(int(i == j) for j in range(s)) for i in range(s))
-    k_at = 0
-
-    def pass_at(k):
-        nonlocal basis, k_at
-        roots = ctx.roots(k)
-        b_rows = [padic.eval_target(g, roots).coeffs for g in targets.targets]
-        basis = _climb(b_rows, sel.p, basis, k_at, k, threshold_sq)
-        k_at = k
-        return _finalize([e for e in basis if sum(x * x for x in e) <= threshold_sq
-                          and is_relation(e)])
-
-    if mode == "proven":
-        final = pass_at(k_proven)
-        bounds = BoundData(m_prime, m, r, n_bound, k_proven, sel.p, sel.f_p)
-        return RelationBasis(tuple(final), "proven", bounds)
-
-    k = min(max(1, math.ceil(1.5 * math.log(max(n_bound, 2)) / math.log(sel.p))),
-            k_proven)
-    cur = pass_at(k)
-    while k < k_proven:
-        k2 = min(2 * k, k_proven)
-        nxt = pass_at(k2)
-        if lattice.hnf(cur) == lattice.hnf(nxt):
-            bounds = BoundData(m_prime, m, r, n_bound, k, sel.p, sel.f_p)
-            return RelationBasis(tuple(cur), "heuristic-verified", bounds,
-                                 verification_k=k2)
-        k, cur = k2, nxt
+    roots = ctx.roots(k_proven)
+    b_rows = [padic.eval_target(g, roots).coeffs for g in targets.targets]
+    basis = _climb(b_rows, sel.p, k_proven, threshold_sq)
+    final = _finalize([e for e in basis if sum(x * x for x in e) <= threshold_sq
+                       and _is_proven_relation(e, targets, sel.p, group_order, seed)])
     bounds = BoundData(m_prime, m, r, n_bound, k_proven, sel.p, sel.f_p)
-    return RelationBasis(tuple(cur), "proven", bounds)
+    return RelationBasis(tuple(final), "proven", bounds)
 
 
 # ------------------------------------------------------ permutation route
@@ -480,13 +461,15 @@ def find_relations_galois(
     ctx = padic.root_context(targets.f, prime, prefer="max", seed=seed)
     sel = ctx.selection
     s = targets.s
-    m_prime, m, r, n_bound = _shared_bounds(targets, group_order)
+    m_prime, m, r, n_bound = _shared_bounds(targets, group_order, sel.f_p)
     if mode == "proven":
         k = max(2, math.ceil(math.log(2 * max(n_bound, 2) ** 4) / math.log(sel.p)))
     else:
         k = max(2, math.ceil(1.5 * math.log(max(n_bound, 2)) / math.log(sel.p)))
 
-    is_relation = _zero_tester(targets, sel.p, group_order, seed)
+    # escalation rounds meet rows again: test each row once per search
+    is_relation = functools.cache(
+        lambda e: _is_proven_relation(e, targets, sel.p, group_order, seed))
     subset = galois_mod.initial_subset(n)
     validated = False
     stuck = 0
@@ -511,8 +494,7 @@ def find_relations_galois(
             if ok and all(is_relation(e) for e in final):
                 cert = "proven" if mode == "proven" else "heuristic-verified"
                 bounds = BoundData(m_prime, m, r, n_bound, k, sel.p, sel.f_p)
-                return RelationBasis(tuple(final), cert, bounds,
-                                     verification_k=None if mode == "proven" else k)
+                return RelationBasis(tuple(final), cert, bounds)
         grown = galois_mod.grow_subset(subset, group, seed=seed + rnd)
         if grown.exhausted and rec is None:
             stuck += 1

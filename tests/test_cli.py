@@ -74,6 +74,36 @@ def test_relations_command():
     assert data["bounds"]["M_prime"] == 3
 
 
+def test_relations_heuristic_mode_differs_only_on_the_permutation_route(tmp_path):
+    payload = {"poly": [-2, 0, 1], "targets": [[[1, [1, 0]]], [[1, [0, 1]]]]}
+    result = _invoke(["relations", "-", "--mode", "heuristic"], stdin=json.dumps(payload))
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    assert data["route"] == "lll"
+    assert data["certification"] == "proven"
+    assert data["verification_k"] is None
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps([[2, 1]]))  # swap, 1-indexed
+    result = _invoke(["relations", "-", "--mode", "heuristic", "--group", str(group)],
+                     stdin=json.dumps(payload))
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    assert data["route"] == "galois"
+    assert data["basis"] == [[1, 1]]
+    assert data["certification"] == "heuristic-verified"
+    assert data["verification_k"] == data["bounds"]["k"]
+
+
+def test_hull_rejects_a_group_order_frobenius_rules_out():
+    # x^5 - 2 has Galois group of order 20; Frobenius at the working prime
+    # has order 2 (LLL route) or 5 (permutation route), neither divides 1
+    payload = json.dumps({"matrix": [[0, 0, 0, 0, 2], [1, 0, 0, 0, 0], [0, 1, 0, 0, 0],
+                                     [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]})
+    result = runner.invoke(main, ["hull", "-", "--group-order", "1"], input=payload)
+    assert result.exit_code == 2
+    assert "f_p" in result.output
+
+
 def test_iszero_command():
     payload = {"poly": [-2, 0, 1], "target": [[1, [1, 0]], [1, [0, 1]]]}
     result = _invoke(["iszero", "-"], stdin=json.dumps(payload))

@@ -12,7 +12,8 @@ Gram-Schmidt vectors are too long to matter are pruned.  `_block_extract`
 below is the construction the route started from: reduce the
 (s + f_p)-dimensional block matrix [I | lam B ; 0 | lam p^k I] and keep
 the reduced rows whose trailing block vanishes.  Both must give the same
-lattice, pass by pass, so every relation search keeps its output.
+lattice at the one precision a search reaches, so every relation search
+keeps its output.
 Brute-force enumerations of (Z/p^k)^s check the basis of L_k itself and
 that pruning keeps every short vector of L_k, and a structural guard
 checks that LLL only ever sees s columns, one rung of precision at a time.
@@ -37,7 +38,7 @@ def _block_extract(targets, ctx, k, threshold_sq):
     """The block-matrix pass: columns scaled by lam, rows with a zero
     trailing block under the threshold."""
     s, f_p = targets.s, ctx.f_p
-    n_bound = rel._shared_bounds(targets, None)[3]  # N does not depend on r
+    n_bound = rel._shared_bounds(targets, None, f_p)[3]  # N does not depend on r
     lam = max(n_bound**2 * 2 ** (s - 1), math.isqrt(threshold_sq) + 2)
     roots = ctx.roots(k)
     b_rows = [padic.eval_target(g, roots).coeffs for g in targets.targets]
@@ -73,28 +74,29 @@ def _power_sums(f, e):
                                          for i in range(len(e))))
 
 
-def _check_passes_match_reference(targets, mode, group_order=None):
-    """Run find_relations_lll, and redo each of its passes with the block
-    matrix: the rows each pass keeps (those of the ladder's basis under the
+def _check_pass_matches_reference(targets, group_order=None):
+    """Run find_relations_lll, and redo its one pass with the block
+    matrix: the rows the pass keeps (those of the ladder's basis under the
     threshold) must give the same lattice.  Returns the result."""
     passes = []
     real = rel._climb
 
-    def recorded(b_rows, p, basis, k_from, k, threshold_sq):
-        out = real(b_rows, p, basis, k_from, k, threshold_sq)
+    def recorded(b_rows, p, k, threshold_sq):
+        out = real(b_rows, p, k, threshold_sq)
         rows = [e for e in out if sum(x * x for x in e) <= threshold_sq]
         passes.append((p, k, threshold_sq, rows))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rel, "_climb", recorded)
-        res = rel.find_relations_lll(targets, mode=mode, group_order=group_order)
-    assert passes
-    for p, k, threshold_sq, rows in passes:
-        ctx = padic.root_context(targets.f, p)
-        ref = _block_extract(targets, ctx, k, threshold_sq)
-        assert (_pass_result(targets, rows, ctx.p, group_order)
-                == _pass_result(targets, ref, ctx.p, group_order)), (mode, k)
+        res = rel.find_relations_lll(targets, group_order=group_order)
+    assert len(passes) == 1
+    p, k, threshold_sq, rows = passes[0]
+    assert k == res.bounds.k
+    ctx = padic.root_context(targets.f, p)
+    ref = _block_extract(targets, ctx, k, threshold_sq)
+    assert (_pass_result(targets, rows, ctx.p, group_order)
+            == _pass_result(targets, ref, ctx.p, group_order)), k
     return res
 
 
@@ -113,25 +115,23 @@ def squarefree_polys(draw):
 
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
-@given(squarefree_polys(), st.sampled_from(["proven", "heuristic"]),
-       st.sampled_from(["stage 1", "stage 2"]))
-def test_relation_lattice_matches_block_matrix(f, mode, stage):
+@given(squarefree_polys(), st.sampled_from(["stage 1", "stage 2"]))
+def test_relation_lattice_matches_block_matrix(f, stage):
     targets = _variables(f)
     if stage == "stage 2":
         # the hull's stage-2 targets for a stage-1 row (all ones if none)
-        rows = rel.find_relations_lll(targets, mode="heuristic").rows
+        rows = rel.find_relations_lll(targets).rows
         targets = _power_sums(f, rows[0] if rows else (1,) * (len(f) - 1))
-    _check_passes_match_reference(targets, mode)
+    _check_pass_matches_reference(targets)
 
 
 @pytest.mark.parametrize("entry", corpus.CORPUS, ids=lambda e: e.label)
 def test_relation_lattice_matches_block_matrix_on_corpus(entry):
     targets = _variables(entry.poly)
-    for mode in ("proven", "heuristic"):
-        res = _check_passes_match_reference(targets, mode, group_order=entry.group_order)
-        for e in res.rows[:1]:
-            _check_passes_match_reference(_power_sums(entry.poly, e), mode,
-                                          group_order=entry.group_order)
+    res = _check_pass_matches_reference(targets, group_order=entry.group_order)
+    for e in res.rows[:1]:
+        _check_pass_matches_reference(_power_sums(entry.poly, e),
+                                      group_order=entry.group_order)
 
 
 # ------------------------------------------------------- brute force
@@ -202,9 +202,9 @@ def _in_lattice(v, b_rows, m):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_pruning_keeps_every_short_vector(data):
-    # p^k <= 125, s <= 3: the ladder, climbed in one pass or two, and in
-    # one rung or one rung per power of p, keeps an LLL-reduced basis of a
-    # sublattice of L_k that holds every v in L_k with ||v||^2 <= T
+    # p^k <= 125, s <= 3: the ladder, climbed in one rung or one rung per
+    # power of p, keeps an LLL-reduced basis of a sublattice of L_k that
+    # holds every v in L_k with ||v||^2 <= T
     s = data.draw(st.integers(1, 3), label="s")
     p, k = data.draw(st.sampled_from([(p, k) for p in (2, 3, 5, 7, 11)
                                       for k in range(1, 8) if p**k <= 125]),
@@ -215,13 +215,10 @@ def test_pruning_keeps_every_short_vector(data):
                                          max_size=f_p), min_size=s, max_size=s),
                        label="B")
     threshold_sq = data.draw(st.integers(1, 60), label="T")
-    k_mid = data.draw(st.integers(0, k), label="first pass up to")
     rung_bits = data.draw(st.sampled_from([rel.RUNG_BITS, 1]), label="rung bits")
-    basis = tuple(tuple(int(i == j) for j in range(s)) for i in range(s))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rel, "RUNG_BITS", rung_bits)
-        basis = rel._climb(b_rows, p, basis, 0, k_mid, threshold_sq)
-        basis = rel._climb(b_rows, p, basis, k_mid, k, threshold_sq)
+        basis = rel._climb(b_rows, p, k, threshold_sq)
     assert all(_in_lattice(row, b_rows, m) for row in basis)
     assert lattice.is_lll_reduced(basis)
     kept = lattice.hnf(basis)

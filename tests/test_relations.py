@@ -12,7 +12,7 @@ import random
 import pytest
 
 import corpus
-from alghull import lattice, linalg, relations as rel
+from alghull import hull, lattice, linalg, matrices, padic, relations as rel
 
 
 def variables(f):
@@ -44,6 +44,37 @@ def test_degree_bound():
     assert rel.degree_bound((-2, 0, 0, 0, 1), group_order=8) == 8
     with pytest.raises(ValueError):
         rel.degree_bound((-2, 0, 1), group_order=0)
+    # Frobenius at the working prime has order f_p, which divides |Gal|
+    assert rel.degree_bound((-2, 0, 0, 0, 1), group_order=8, f_p=4) == 8
+    with pytest.raises(ValueError, match="f_p"):
+        rel.degree_bound((-2, 0, 0, 0, 1), group_order=6, f_p=4)
+    with pytest.raises(ValueError, match="f_p = 2"):  # x^5 - 2 at p = 19
+        rel.zero_test(rel.ExponentPolynomial.variable(0, 5), (-2, 0, 0, 0, 0, 1),
+                      group_order=1)
+
+
+@pytest.mark.parametrize("route, p, f_p", [("lll", 19, 2), ("galois", 11, 5)])
+def test_group_order_frobenius_rules_out_is_rejected(route, p, f_p):
+    # x^5 - 2: the true hull of its companion has dimension 4 (|Gal| = 20);
+    # group_order=1 once gave dimension 5, labelled "proven"
+    entry = next(e for e in corpus.CORPUS if e.label == "x^5-2")
+    x = matrices.companion(entry.poly)
+    prefer = "min" if route == "lll" else "max"
+    sel = padic.root_context(entry.poly, prefer=prefer).selection
+    assert (sel.p, sel.f_p) == (p, f_p)
+    group = corpus.group_for(entry) if route == "galois" else None
+    with pytest.raises(ValueError, match=f"f_p = {f_p}"):
+        hull.hull_matrix(x, route=route, group=group, group_order=1)
+    assert hull.hull_matrix(x, route=route, group=group,
+                            group_order=entry.group_order).dim == 4
+
+
+@pytest.mark.parametrize("entry", corpus.CORPUS, ids=lambda e: e.label)
+def test_frobenius_order_divides_every_corpus_group_order(entry):
+    # the f_p check never rejects a true group order on the corpus
+    for prefer in ("min", "max"):
+        f_p = padic.root_context(entry.poly, prefer=prefer).f_p
+        assert entry.group_order % f_p == 0, (prefer, f_p)
 
 
 def test_masser_bound():
@@ -146,9 +177,9 @@ def test_routes_agree_on_corpus():
 
 
 def test_each_row_is_zero_tested_once_per_search(monkeypatch):
-    # heuristic passes and escalation rounds meet the same rows again; the
-    # proven zero test runs once per row and search, and its answers do not
-    # outlive the search
+    # the permutation route's escalation rounds meet the same rows again;
+    # the proven zero test runs once per row and search, and its answers do
+    # not outlive the search
     calls = []
     real = rel._is_proven_relation
 
@@ -198,15 +229,14 @@ def test_soundness_and_completeness_sampling():
 
 
 def test_heuristic_matches_proven():
+    # the LLL route runs the one proven search in both modes
     for entry in corpus.CORPUS[:9]:
         ts = variables(entry.poly)
         proven = rel.find_relations_lll(ts, group_order=entry.group_order)
         heur = rel.find_relations_lll(ts, mode="heuristic",
                                       group_order=entry.group_order)
-        assert lattice.hnf(proven.rows) == lattice.hnf(heur.rows), entry.label
-        assert heur.certification in ("heuristic-verified", "proven")
-        if heur.certification == "heuristic-verified":
-            assert heur.verification_k is not None
+        assert (heur.rows, heur.certification, heur.bounds, heur.verification_k) == (
+            proven.rows, "proven", proven.bounds, None), entry.label
 
 
 def test_heuristic_galois_route():
@@ -219,6 +249,7 @@ def test_heuristic_galois_route():
                                      group_order=entry.group_order)
     assert lattice.hnf(proven.rows) == lattice.hnf(heur.rows)
     assert heur.certification == "heuristic-verified"
+    assert heur.verification_k == heur.bounds.k
 
 
 def test_galois_route_stability_under_seed():
