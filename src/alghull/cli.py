@@ -4,7 +4,7 @@ Conventions: polynomials are coefficient lists with the constant term
 first; rationals are serialized as decimal strings like "-3/4"; sparse
 targets are term lists [[coeff, [e1, ..., en]], ...]; permutations are
 1-indexed one-line images.  Exit codes: 0 success, 2 input error,
-3 escalation exhaustion.
+3 the permutation route's relation search ran out of rounds.
 """
 
 from __future__ import annotations

@@ -106,11 +106,9 @@ class PermGroup:
 
 @dataclass
 class Subset:
-    """A subset of group elements used by the relation search; tracks
-    whether the last growth attempt found nothing new."""
+    """A subset of group elements used by the relation search."""
 
     perms: list
-    exhausted: bool = False
 
 
 def initial_subset(n: int) -> Subset:
@@ -120,8 +118,8 @@ def initial_subset(n: int) -> Subset:
 def grow_subset(s: Subset, group: PermGroup, seed: int = 0) -> Subset:
     """Add at most ceil(0.2 * #S) fresh group elements (seeded sampling).
 
-    Returns a new Subset; if the group has no elements outside S, the
-    subset is returned unchanged with the exhausted flag set.
+    Returns a new Subset, with the same elements when the group has none
+    outside S.
     """
     want = -(-len(s.perms) // 5)  # ceil(0.2 #S)
     have = set(s.perms)
@@ -142,8 +140,6 @@ def grow_subset(s: Subset, group: PermGroup, seed: int = 0) -> Subset:
             if x not in have:
                 have.add(x)
                 added.append(x)
-    if not added:
-        return Subset(list(s.perms), exhausted=True)
     return Subset(list(s.perms) + added)
 
 

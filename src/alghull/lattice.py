@@ -273,7 +273,9 @@ def nullspace_mod(rows: Sequence[Sequence[int]], p: int, k: int):
 
     Runs Howell on the augmented block [rows | I]; augmented rows whose
     image block vanished generate the left nullspace (including torsion
-    generators such as p^j times a unit vector).
+    generators such as p^j times a unit vector).  They are the Howell
+    rows with pivot past the image block, so they are in Howell form
+    already.
     """
     mod = p**k
     m = [[x % mod for x in r] for r in rows]
@@ -283,8 +285,7 @@ def nullspace_mod(rows: Sequence[Sequence[int]], p: int, k: int):
     ncols = len(m[0])
     aug = [tuple(m[i]) + tuple(1 if j == i else 0 for j in range(nrows)) for i in range(nrows)]
     h = howell(aug, p, k)
-    kernel = [r[ncols:] for r in h if all(x == 0 for x in r[:ncols])]
-    return howell(kernel, p, k) if kernel else ()
+    return tuple(r[ncols:] for r in h if all(x == 0 for x in r[:ncols]))
 
 
 def rational_reconstruction(a: int, m: int):

@@ -268,16 +268,19 @@ class PadicElement:
         return not any(self.coeffs)
 
     def inverse(self) -> "PadicElement":
-        """Inverse of a unit (valuation 0), by residue inverse + Newton."""
+        """Inverse of a unit (valuation 0), by residue inverse + Newton
+        steps that double the precision."""
         ring = self.ring
         red = gf.gf_normalize(self.coeffs, ring.p)
         if not red:
             raise ZeroDivisionError("element is not a unit")
-        y = ring.element(gf.gf_inverse(red, ring.omega, ring.p))
+        y = ring.at_precision(1).element(gf.gf_inverse(red, ring.omega, ring.p))
         prec = 1
         while prec < ring.k:
-            y = y * (ring.from_int(2) - self * y)
-            prec *= 2
+            prec = min(2 * prec, ring.k)
+            step = ring.at_precision(prec)
+            y = step.element(y.coeffs)
+            y = y * (step.from_int(2) - step.element(self.coeffs) * y)
         if (self * y).coeffs != ring.one().coeffs:
             raise PadicError("Newton inversion did not converge to an inverse")
         return y

@@ -13,11 +13,12 @@ The LLL route reduces the relation lattice mod p^k,
     L_k = {e in Z^s : e_1 g_1(a) + ... + e_s g_s(a) = 0 mod p^k},
 
 which contains Lambda, climbing to k in rungs and pruning the rows too
-long to matter, and keeps its short rows.  The other route
-accumulates constraints from a permutation action on the roots.  Each
-row returned passes a zero test at a precision picked from a norm bound,
-so the answers are unconditionally correct.  A "heuristic" run differs
-only on the permutation route, where it starts at a smaller precision.
+long to matter, and keeps its short rows.  The permutation route climbs
+the same ladder on a lattice with more constraints: the relation must
+also hold at the roots permuted by each element of a subset of a
+permutation group.  Each row returned passes a zero test at a precision
+picked from a norm bound, so the answers are unconditionally correct.
+mode="heuristic" is accepted by both routes and runs the proven search.
 """
 
 from __future__ import annotations
@@ -120,9 +121,9 @@ class BoundData:
     M_prime bounds every complex root of f; M bounds every complex
     embedding of every target; r bounds the degree of the field the
     targets live in; N bounds the sup-norm of some Z-basis of Lambda;
-    k is the p-adic precision exponent actually used, so that the LLL
-    route reduced the relation lattice L_k mod p^k, and p and f_p are
-    the working prime and its residue degree.
+    k is the p-adic precision exponent actually used: the LLL route's
+    k_proven, or the precision of the permutation route's last round.
+    p and f_p are the working prime and its residue degree.
     """
 
     M_prime: int
@@ -137,7 +138,7 @@ class BoundData:
 @dataclass(frozen=True)
 class RelationBasis:
     rows: tuple
-    certification: str  # "proven" | "heuristic-verified" (permutation route)
+    certification: str  # "proven"
     bounds: BoundData
 
     @property
@@ -145,9 +146,10 @@ class RelationBasis:
         return len(self.rows)
 
     @property
-    def verification_k(self) -> int | None:
-        """The precision a heuristic answer was verified at, else None."""
-        return self.bounds.k if self.certification == "heuristic-verified" else None
+    def verification_k(self) -> None:
+        """Always None: every answer is proven, none rests on a
+        heuristic precision.  Kept for the CLI's "verification_k" key."""
+        return None
 
 
 # ----------------------------------------------------------------- bounds
@@ -223,11 +225,11 @@ def zero_test(
     f = tuple(int(c) for c in f)
     ctx = padic.root_context(f, prime, seed=seed)
     sel = ctx.selection
+    r = degree_bound(f, group_order, sel.f_p)
     if g.is_zero_poly():
         return True, BoundData(1, 1, 1, 1, 1, sel.p, sel.f_p)
     m_prime = complex_root_bound(f)
     m = max(embedding_bound(g, m_prime), 1)
-    r = degree_bound(f, group_order, sel.f_p)
     k_proven = proven_precision(sel.p, sel.f_p, m, r)
     if mode == "proven":
         k_use = k_proven
@@ -259,14 +261,25 @@ def _is_proven_relation(e, targets: TargetSet, prime, group_order, seed) -> bool
                    prime=prime, group_order=group_order, seed=seed)
 
 
-# -------------------------------------------------------------- LLL route
+# ------------------------------------------------- ladder of both routes
 
 def _shared_bounds(targets: TargetSet, group_order, f_p: int):
+    """M', M, r, N and the squared-norm threshold of both routes' ladders.
+
+    Lambda has a basis of sup-norm <= N, so a reduced basis of any lattice
+    between Lambda and L_k (dimension at most s) starts with rank Lambda
+    rows of squared 2-norm at most 2^(s-1) * s * N^2 (the LLL bound for
+    delta = 3/4, the reduction every search here runs).  The threshold
+    allows the larger bound of dimension s + f_p, and the LLL route's
+    k_proven follows from it: a tighter threshold would lower the
+    certified precision and change which rows each rung keeps.
+    """
     m_prime = complex_root_bound(targets.f)
     m = max(max((embedding_bound(g, m_prime) for g in targets.targets)), 1)
     r = degree_bound(targets.f, group_order, f_p)
     n_bound = masser_bound(targets.s, m)
-    return m_prime, m, r, n_bound
+    threshold_sq = 2 ** (targets.s + f_p - 1) * targets.s * n_bound**2
+    return m_prime, m, r, n_bound, threshold_sq
 
 
 def _relation_lattice(b_rows, p: int, k: int):
@@ -343,6 +356,8 @@ def _finalize(rows):
     return lattice.lll_reduce(sat) if sat else ()
 
 
+# -------------------------------------------------------------- LLL route
+
 def find_relations_lll(
     targets: TargetSet,
     mode: str = "proven",
@@ -364,20 +379,11 @@ def find_relations_lll(
     check_mode(mode)
     ctx = padic.root_context(targets.f, prime, seed=seed)
     sel = ctx.selection
-    s = targets.s
-    m_prime, m, r, n_bound = _shared_bounds(targets, group_order, sel.f_p)
-    # Size threshold for genuine rows: Lambda has a basis of sup-norm
-    # <= N, so a reduced basis of any lattice between Lambda and L_k
-    # (dimension at most s) starts with rank Lambda rows of squared 2-norm at most 2^(s-1) * s * N^2 (the LLL
-    # bound for delta = 3/4, the reduction every search here runs).  The
-    # threshold allows the larger bound of dimension s + f_p, and k_proven
-    # follows from it: a tighter threshold would lower the certified
-    # precision and change which rows each pass keeps.
-    threshold_sq = 2 ** (s + sel.f_p - 1) * s * n_bound**2
+    m_prime, m, r, n_bound, threshold_sq = _shared_bounds(targets, group_order, sel.f_p)
     # Precision so that any row of L_k under the threshold is a certified
     # relation, not just a mod-p^k coincidence.
     t_bound = math.isqrt(threshold_sq) + 1
-    k_proven = proven_precision(sel.p, sel.f_p, t_bound * m * s, r)
+    k_proven = proven_precision(sel.p, sel.f_p, t_bound * m * targets.s, r)
 
     roots = ctx.roots(k_proven)
     b_rows = [padic.eval_target(g, roots).coeffs for g in targets.targets]
@@ -397,41 +403,6 @@ def _eval_permuted(g: ExponentPolynomial, roots: padic.ApproxRoots, sigma):
     return padic.eval_target(g, permuted)
 
 
-def _reconstruct_rows(ns_rows, p: int, k: int):
-    """Rational rows from a Howell-form nullspace over Z/p^k.
-
-    Rows whose pivot is p^a with a > 0 carry torsion: if every entry is
-    divisible by p^a the row is descaled and reconstructed at the reduced
-    modulus p^(k-a); rows living entirely in the top half of the
-    precision are discarded as junk.  Returns None when any genuine row
-    fails reconstruction (the caller must escalate).
-    """
-    mod = p**k
-    out = []
-    for row in ns_rows:
-        pivot = next((x for x in row if x), 0)
-        if pivot == 0:
-            continue
-        a = lattice.p_valuation(pivot, p)
-        if 2 * a >= k:
-            continue  # pivot in the top half of the precision: junk
-        rec = [lattice.rational_reconstruction(x % mod, mod) for x in row]
-        if all(v is not None for v in rec):
-            out.append(tuple(rec))
-            continue
-        # a scaled genuine row p^a * (unit-pivot row): descale and retry
-        # at the reduced modulus
-        pa = p**a
-        if a > 0 and all(x % pa == 0 for x in row):
-            sub = p ** (k - a)
-            rec = [lattice.rational_reconstruction((x // pa) % sub, sub) for x in row]
-            if all(v is not None for v in rec):
-                out.append(tuple(rec))
-                continue
-        return None
-    return out
-
-
 # Escalation rounds of find_relations_galois before it gives up.
 MAX_ROUNDS = 60
 
@@ -448,11 +419,13 @@ def find_relations_galois(
 
     For every sigma in a growing subset S of the group, the coefficient
     block of each g_i evaluated at the sigma-permuted roots is appended
-    as extra columns; the nullspace mod p^k of the stacked matrix is
-    rationally reconstructed, saturated and LLL-reduced.  On any
-    reconstruction failure S grows by at most 20 percent and k by 20
-    percent.  The loop exits only when all rows are within the norm
-    bound N and each passes the proven zero test.
+    as extra columns, and the LLL route's precision ladder (_climb) runs
+    on the stacked matrix mod p^k.  Pruning keeps Lambda <= M, so once
+    every kept row passes the proven zero test, M = Lambda and its
+    saturation is returned.  Otherwise S grows by at most 20 percent and
+    k by 20 percent, for at most MAX_ROUNDS rounds.  mode="heuristic" is
+    accepted and runs the same search: the answer is "proven" in both
+    modes.
     """
     check_mode(mode)
     n = len(targets.f) - 1
@@ -460,19 +433,14 @@ def find_relations_galois(
         raise ValueError("group degree must equal deg f")
     ctx = padic.root_context(targets.f, prime, prefer="max", seed=seed)
     sel = ctx.selection
-    s = targets.s
-    m_prime, m, r, n_bound = _shared_bounds(targets, group_order, sel.f_p)
-    if mode == "proven":
-        k = max(2, math.ceil(math.log(2 * max(n_bound, 2) ** 4) / math.log(sel.p)))
-    else:
-        k = max(2, math.ceil(1.5 * math.log(max(n_bound, 2)) / math.log(sel.p)))
+    m_prime, m, r, n_bound, threshold_sq = _shared_bounds(targets, group_order, sel.f_p)
+    k = max(2, math.ceil(1.5 * math.log(max(n_bound, 2)) / math.log(sel.p)))
 
     # escalation rounds meet rows again: test each row once per search
     is_relation = functools.cache(
         lambda e: _is_proven_relation(e, targets, sel.p, group_order, seed))
     subset = galois_mod.initial_subset(n)
     validated = False
-    stuck = 0
     for rnd in range(MAX_ROUNDS):
         roots = ctx.roots(k)
         if not validated:
@@ -486,24 +454,11 @@ def find_relations_galois(
             for sig in subset.perms:
                 row.extend(_eval_permuted(g, roots, sig).coeffs)
             b_rows.append(tuple(row))
-        ns = lattice.nullspace_mod(b_rows, sel.p, k)
-        rec = _reconstruct_rows(ns, sel.p, k)
-        if rec is not None:
-            final = _finalize(rec)
-            ok = all(max(abs(x) for x in row) <= n_bound for row in final)
-            if ok and all(is_relation(e) for e in final):
-                cert = "proven" if mode == "proven" else "heuristic-verified"
-                bounds = BoundData(m_prime, m, r, n_bound, k, sel.p, sel.f_p)
-                return RelationBasis(tuple(final), cert, bounds)
-        grown = galois_mod.grow_subset(subset, group, seed=seed + rnd)
-        if grown.exhausted and rec is None:
-            stuck += 1
-            if stuck >= 10:
-                raise EscalationExhausted(
-                    "the supplied permutation group is exhausted and "
-                    "reconstruction keeps failing; a larger group is needed"
-                )
-        subset = grown
+        basis = _climb(b_rows, sel.p, k, threshold_sq)
+        if all(is_relation(e) for e in basis):
+            bounds = BoundData(m_prime, m, r, n_bound, k, sel.p, sel.f_p)
+            return RelationBasis(tuple(_finalize(basis)), "proven", bounds)
+        subset = galois_mod.grow_subset(subset, group, seed=seed + rnd)
         k = math.ceil(1.2 * k)
     raise EscalationExhausted(
         f"relation search did not converge in {MAX_ROUNDS} rounds (last k={k})"

@@ -6,6 +6,7 @@ import json
 
 from click.testing import CliRunner
 
+from alghull import relations as rel
 from alghull.cli import main
 
 runner = CliRunner()
@@ -74,24 +75,33 @@ def test_relations_command():
     assert data["bounds"]["M_prime"] == 3
 
 
-def test_relations_heuristic_mode_differs_only_on_the_permutation_route(tmp_path):
+def test_relations_heuristic_mode_reports_proven_on_both_routes(tmp_path):
     payload = {"poly": [-2, 0, 1], "targets": [[[1, [1, 0]]], [[1, [0, 1]]]]}
-    result = _invoke(["relations", "-", "--mode", "heuristic"], stdin=json.dumps(payload))
-    assert result.exit_code == 0
-    data = json.loads(result.output)
-    assert data["route"] == "lll"
-    assert data["certification"] == "proven"
-    assert data["verification_k"] is None
     group = tmp_path / "group.json"
     group.write_text(json.dumps([[2, 1]]))  # swap, 1-indexed
-    result = _invoke(["relations", "-", "--mode", "heuristic", "--group", str(group)],
-                     stdin=json.dumps(payload))
-    assert result.exit_code == 0
-    data = json.loads(result.output)
-    assert data["route"] == "galois"
-    assert data["basis"] == [[1, 1]]
-    assert data["certification"] == "heuristic-verified"
-    assert data["verification_k"] == data["bounds"]["k"]
+    for route, extra in (("lll", []), ("galois", ["--group", str(group)])):
+        out = {}
+        for mode in ("proven", "heuristic"):
+            result = _invoke(["relations", "-", "--mode", mode] + extra,
+                             stdin=json.dumps(payload))
+            assert result.exit_code == 0
+            data = out[mode] = json.loads(result.output)
+            assert data["route"] == route
+            assert data["basis"] == [[1, 1]]
+            assert data["certification"] == "proven"
+            assert data["verification_k"] is None
+        assert out["heuristic"]["bounds"] == out["proven"]["bounds"]
+
+
+def test_relations_exit_3_when_the_rounds_run_out(tmp_path, monkeypatch):
+    monkeypatch.setattr(rel, "MAX_ROUNDS", 0)
+    payload = {"poly": [-2, 0, 1], "targets": [[[1, [1, 0]]], [[1, [0, 1]]]]}
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps([[2, 1]]))
+    result = runner.invoke(main, ["relations", "-", "--group", str(group)],
+                           input=json.dumps(payload))
+    assert result.exit_code == 3
+    assert "did not converge" in result.output
 
 
 def test_hull_rejects_a_group_order_frobenius_rules_out():
@@ -113,6 +123,15 @@ def test_iszero_command():
     payload["poly"] = [-1, -1, 1]
     result = _invoke(["iszero", "-"], stdin=json.dumps(payload))
     assert json.loads(result.output)["result"] is False
+
+
+def test_iszero_rejects_a_group_order_frobenius_rules_out_for_a_zero_target():
+    # x^5 - 2 at p = 19 has f_p = 2; the empty target once answered True
+    payload = {"poly": [-2, 0, 0, 0, 0, 1], "target": []}
+    result = runner.invoke(main, ["iszero", "-", "--group-order", "1"],
+                           input=json.dumps(payload))
+    assert result.exit_code == 2
+    assert "f_p = 2" in result.output
 
 
 def test_iszero_heuristic_mode():

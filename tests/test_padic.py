@@ -64,6 +64,15 @@ def test_ring_arithmetic_and_inverse():
         ring.element((3, 0)).inverse()  # valuation > 0 has no inverse
 
 
+def test_inverse_at_every_precision():
+    # the Newton steps double the precision and stop at k, whatever k is
+    for p, f_p in [(3, 2), (2, 3), (31, 1)]:
+        for k in range(1, 41):
+            ring = padic.build_unramified(p, f_p, k)
+            u = ring.element([1 + p * 7**k] + [11**k] * (f_p - 1))  # residue 1 + ...: a unit
+            assert (u * u.inverse()).coeffs == ring.one().coeffs, (p, f_p, k)
+
+
 @pytest.mark.parametrize("k", [1, 5, 20])
 def test_hensel_residuals_at_increasing_precision(k):
     for f, p, f_p in [(F_QUAD, 3, 2), (F_QUAD, 7, 1), (F_QUARTIC, 5, 4)]:

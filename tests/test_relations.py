@@ -10,9 +10,13 @@ mode must match proven mode.
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import corpus
-from alghull import hull, lattice, linalg, matrices, padic, relations as rel
+from alghull import galois, hull, lattice, linalg, matrices, padic
+from alghull import polynomials as pol
+from alghull import relations as rel
 
 
 def variables(f):
@@ -48,9 +52,10 @@ def test_degree_bound():
     assert rel.degree_bound((-2, 0, 0, 0, 1), group_order=8, f_p=4) == 8
     with pytest.raises(ValueError, match="f_p"):
         rel.degree_bound((-2, 0, 0, 0, 1), group_order=6, f_p=4)
-    with pytest.raises(ValueError, match="f_p = 2"):  # x^5 - 2 at p = 19
-        rel.zero_test(rel.ExponentPolynomial.variable(0, 5), (-2, 0, 0, 0, 0, 1),
-                      group_order=1)
+    # x^5 - 2 at p = 19; the zero target is checked before its answer
+    for g in (rel.ExponentPolynomial.variable(0, 5), rel.ExponentPolynomial(())):
+        with pytest.raises(ValueError, match="f_p = 2"):
+            rel.zero_test(g, (-2, 0, 0, 0, 0, 1), group_order=1)
 
 
 @pytest.mark.parametrize("route, p, f_p", [("lll", 19, 2), ("galois", 11, 5)])
@@ -176,6 +181,23 @@ def test_routes_agree_on_corpus():
         assert a.certification == b.certification == "proven"
 
 
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(st.integers(2, 4).flatmap(
+    lambda n: st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+def test_routes_agree_under_the_frobenius_group(coeffs):
+    # at the permutation route's prime, its Frobenius group alone gives
+    # the LLL route's lattice
+    f = tuple(coeffs) + (1,)
+    assume(pol.degree(pol.squarefree_part(f)) == len(coeffs))
+    ctx = padic.root_context(f, prefer="max")
+    frob = galois.PermGroup.frobenius(ctx.roots(4))
+    ts = variables(f)
+    a = rel.find_relations_lll(ts, prime=ctx.p)
+    b = rel.find_relations_galois(ts, frob, prime=ctx.p)
+    assert lattice.hnf(a.rows) == lattice.hnf(b.rows), f
+
+
 def test_each_row_is_zero_tested_once_per_search(monkeypatch):
     # the permutation route's escalation rounds meet the same rows again;
     # the proven zero test runs once per row and search, and its answers do
@@ -240,16 +262,19 @@ def test_heuristic_matches_proven():
 
 
 def test_heuristic_galois_route():
+    # the permutation route also runs the one proven search in both modes
     entry = corpus.CORPUS[3]  # x^4 - 2
     ts = variables(entry.poly)
     p = corpus.prime_for(entry)
-    proven = rel.find_relations_lll(ts, prime=p, group_order=entry.group_order)
+    proven = rel.find_relations_galois(ts, corpus.group_for(entry), prime=p,
+                                       group_order=entry.group_order)
     heur = rel.find_relations_galois(ts, corpus.group_for(entry),
                                      mode="heuristic", prime=p,
                                      group_order=entry.group_order)
-    assert lattice.hnf(proven.rows) == lattice.hnf(heur.rows)
-    assert heur.certification == "heuristic-verified"
-    assert heur.verification_k == heur.bounds.k
+    lll = rel.find_relations_lll(ts, prime=p, group_order=entry.group_order)
+    assert lattice.hnf(lll.rows) == lattice.hnf(heur.rows)
+    assert (heur.rows, heur.certification, heur.bounds, heur.verification_k) == (
+        proven.rows, "proven", proven.bounds, None)
 
 
 def test_galois_route_stability_under_seed():
@@ -271,21 +296,21 @@ def test_group_degree_mismatch_rejected():
         rel.find_relations_galois(ts, galois.PermGroup(3, []))
 
 
-def test_frobenius_only_group_can_be_insufficient():
-    """Regression: for x^4 - 2 at p = 5 the 4th roots of unity live in
-    Z_p, so a spurious p-adic relation is invariant under the whole
-    decomposition group; no precision escalation can remove it and the
-    search must fail fast asking for a larger group."""
+def test_frobenius_only_group_is_enough():
+    """For x^4 - 2 at p = 5 the 4th roots of unity live in Z_p, so a
+    spurious p-adic relation is invariant under the whole decomposition
+    group; rational reconstruction could not tell it apart.  The ladder
+    prunes it by length, so the Frobenius group alone gives the radical
+    group's lattice."""
     from alghull import galois, padic
     f = (-2, 0, 0, 0, 1)
     roots = padic.cached_roots(f, 5, 4, 8, 0)
-    g = galois.PermGroup.frobenius(roots)
-    with pytest.raises(rel.EscalationExhausted):
-        rel.find_relations_galois(variables(f), g, prime=5, group_order=8)
-    # the same instance succeeds once the group is large enough
-    full = galois.radical_group(roots)
-    basis = rel.find_relations_galois(variables(f), full, prime=5, group_order=8)
-    assert basis.rank == 2
+    frob = rel.find_relations_galois(variables(f), galois.PermGroup.frobenius(roots),
+                                     prime=5, group_order=8)
+    full = rel.find_relations_galois(variables(f), galois.radical_group(roots),
+                                     prime=5, group_order=8)
+    assert frob.rank == 2
+    assert lattice.hnf(frob.rows) == lattice.hnf(full.rows)
 
 
 def test_unknown_mode_rejected_before_any_work(monkeypatch):
