@@ -342,7 +342,7 @@ def cmd_bench(corpus, mode, seed, out, plot_data):
                 else:
                     ctx = padic.root_context(f, prefer="max", seed=seed)
                     group = galois_mod.group_of_kind(
-                        entry.get("group_kind", "frobenius"), ctx.roots(8),
+                        entry.get("group_kind", "frobenius"), ctx,
                         entry.get("exponents"), entry.get("group"))
                     res = hull_mod.hull_matrix(
                         x, mode=mode, route="galois", group=group,

@@ -15,6 +15,14 @@ from typing import Sequence
 from . import linalg, matrices, padic
 
 
+def _frobenius(roots) -> tuple[int, ...]:
+    """The Frobenius permutation of labeled roots: those of a RootContext,
+    which computes it once, or ApproxRoots."""
+    if isinstance(roots, padic.RootContext):
+        return roots.frobenius
+    return padic.frobenius_perm(roots)
+
+
 def identity_perm(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 
@@ -56,10 +64,11 @@ class PermGroup:
         self._elements: tuple | None = None
 
     @classmethod
-    def frobenius(cls, roots: "padic.ApproxRoots") -> "PermGroup":
-        """Cyclic group generated by the Frobenius permutation of the roots."""
-        return cls(len(roots.roots), [padic.frobenius_perm(roots)],
-                   provenance="frobenius")
+    def frobenius(cls, roots) -> "PermGroup":
+        """Cyclic group generated by the Frobenius permutation of the
+        labeled roots (a RootContext or ApproxRoots, see _frobenius)."""
+        frob = _frobenius(roots)
+        return cls(len(frob), [frob], provenance="frobenius")
 
     @classmethod
     def from_images(cls, degree: int, images) -> "PermGroup":
@@ -143,19 +152,20 @@ def grow_subset(s: Subset, group: PermGroup, seed: int = 0) -> Subset:
     return Subset(list(s.perms) + added)
 
 
-def validate_action(sigma: Sequence[int], roots: "padic.ApproxRoots") -> bool:
-    """Necessary Galois-consistency check for a permutation of the roots.
+def validate_action(sigma: Sequence[int], roots) -> bool:
+    """Necessary Galois-consistency check for a permutation of the labeled
+    roots (a RootContext or ApproxRoots, see _frobenius).
 
     A genuine Galois element commutes with Frobenius on root labels and
     therefore preserves Frobenius orbits setwise up to relabeling; in
     particular it must map each root to one lying in a mod-p factor of
     the same degree.  That factor-degree (orbit-length) preservation is
-    what is checked here; it is a certificate at the current precision,
-    not a full sufficiency proof.
+    what is checked here; it is a necessary condition, not a full
+    sufficiency proof.
     """
-    n = len(roots.roots)
+    frob = _frobenius(roots)
+    n = len(frob)
     sigma = _check_perm(sigma, n)
-    frob = padic.frobenius_perm(roots)
     # orbit length of each index under Frobenius
     lengths = [0] * n
     for i in range(n):
@@ -306,15 +316,22 @@ def power_group(roots: "padic.ApproxRoots", exponents) -> "PermGroup | None":
     return PermGroup(len(roots.roots), gens, provenance="user-supplied")
 
 
-def group_of_kind(kind: str, roots: "padic.ApproxRoots", exponents=None,
-                  images=None) -> PermGroup:
+# Precision at which group_of_kind matches the roots of a RootContext.
+GROUP_PRECISION = 8
+
+
+def group_of_kind(kind: str, roots, exponents=None, images=None) -> PermGroup:
     """The permutation group of the named kind on labeled roots:
     "frobenius", "radical", "pairing", "power" (the maps x -> x^u for the
     given exponents) or "explicit" (generated by 1-indexed one-line
-    images).  Raises ValueError for an unknown kind, a missing argument
-    of its kind, or when the roots do not admit the construction."""
+    images).  roots is ApproxRoots or a RootContext; a context gives its
+    Frobenius permutation, and its roots at GROUP_PRECISION to the other
+    kinds.  Raises ValueError for an unknown kind, a missing argument of
+    its kind, or when the roots do not admit the construction."""
     if kind == "frobenius":
         g = PermGroup.frobenius(roots)
+    elif isinstance(roots, padic.RootContext):
+        return group_of_kind(kind, roots.roots(GROUP_PRECISION), exponents, images)
     elif kind == "radical":
         g = radical_group(roots)
     elif kind == "pairing":

@@ -50,7 +50,7 @@ def _relation_basis(targets, route, group, mode, config):
         if group is None:
             ctx = padic.root_context(targets.f, config["prime"], prefer="max",
                                      seed=config["seed"])
-            group = galois_mod.PermGroup.frobenius(ctx.roots(4))
+            group = galois_mod.PermGroup.frobenius(ctx)
         return rel.find_relations_galois(targets, group, mode=mode, **config)
     return rel.find_relations_lll(targets, mode=mode, **config)
 

@@ -10,8 +10,9 @@ The residue field GF(p^f_p) is the ring at precision 1: residue_roots
 finds the roots of f there, and lift_roots Hensel-lifts them.
 
 Callers reach roots through a RootContext (see root_context): one per
-polynomial, prime and seed, holding the prime selection, omega and the
-highest-precision lift made so far.
+polynomial, prime and seed, holding the prime selection, omega, the
+highest-precision lift made so far with its Newton state, and the
+Frobenius permutation of the roots.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import copy
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -64,9 +65,25 @@ def is_admissible(f: Sequence[int], p: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeSelection:
+    """A prime p, the degrees of the irreducible factors of f mod p and
+    their lcm f_p, the order of Frobenius at p.
+
+    f_p_lcm is the lcm of the f_p of every admissible prime the choice
+    factored f at: just f_p at a fixed prime, the whole scan for
+    select_prime.  The order of the Galois group of f is a multiple of
+    each f_p (Frobenius at p is an element of order f_p), so of f_p_lcm;
+    that includes deg f when some prime leaves f irreducible.  It records
+    how the choice was made, not the choice, so it is left out of ==.
+    """
+
     p: int
     f_p: int
     degrees: tuple[int, ...]
+    f_p_lcm: int | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.f_p_lcm is None:
+            object.__setattr__(self, "f_p_lcm", self.f_p)
 
 
 def factor_degrees(f: Sequence[int], p: int) -> tuple[int, ...]:
@@ -98,10 +115,12 @@ def select_prime(f: Sequence[int], prefer: str = "min") -> PrimeSelection:
     Frobenius columns.  Candidates come in increasing order and f_p >= 1,
     so with prefer="min" the scan stops at the first admissible prime where
     f splits (f_p = 1): no later prime can beat it.  prefer="max" compares
-    the whole scan.  An unknown preference is a ValueError before any work.
+    the whole scan.  The result's f_p_lcm covers every prime scanned.  An
+    unknown preference is a ValueError before any work.
     """
     _check_prefer(prefer)
     found: list[PrimeSelection] = []
+    f_p_lcm = 1
     candidates = _primes_from(len(f))
     for _ in range(10 * SEARCH_LIMIT):
         if len(found) >= SEARCH_LIMIT:
@@ -109,8 +128,9 @@ def select_prime(f: Sequence[int], prefer: str = "min") -> PrimeSelection:
         p = next(candidates)
         if is_admissible(f, p):
             sel = _selection_at(f, p)
+            f_p_lcm = math.lcm(f_p_lcm, sel.f_p)
             if prefer == "min" and sel.f_p == 1:
-                return sel
+                return replace(sel, f_p_lcm=f_p_lcm)
             found.append(sel)
     if not found:
         raise NoAdmissiblePrime(
@@ -118,8 +138,10 @@ def select_prime(f: Sequence[int], prefer: str = "min") -> PrimeSelection:
             f"{10 * SEARCH_LIMIT} candidates"
         )
     if prefer == "min":
-        return min(found, key=lambda s: (s.f_p, s.p))
-    return min(found, key=lambda s: (-s.f_p, s.p))
+        best = min(found, key=lambda s: (s.f_p, s.p))
+    else:
+        best = min(found, key=lambda s: (-s.f_p, s.p))
+    return replace(best, f_p_lcm=f_p_lcm)
 
 
 # ------------------------------------------------------------------- ring
@@ -178,21 +200,10 @@ class UnramifiedRing:
     def element(self, coeffs: Sequence[int]) -> "PadicElement":
         c = [int(x) for x in coeffs]
         if len(c) > self.degree:
-            c = self._reduce_by_omega(c)
+            c = _reduce(c, self.omega)
         c = [x % self.modulus for x in c]
         c += [0] * (self.degree - len(c))
         return PadicElement(self, tuple(c))
-
-    def _reduce_by_omega(self, c: list[int]) -> list[int]:
-        """The remainder of c (a list, consumed) by omega, not yet reduced
-        mod p^k."""
-        d = self.degree
-        for i in range(len(c) - 1, d - 1, -1):
-            top = c[i]
-            if top:
-                for j in range(d):
-                    c[i - d + j] -= top * self.omega[j]
-        return c[:d]
 
     def zero(self) -> "PadicElement":
         return PadicElement(self, (0,) * self.degree)
@@ -202,6 +213,31 @@ class UnramifiedRing:
 
     def from_int(self, a: int) -> "PadicElement":
         return self.element((a,))
+
+
+def _reduce(c: list[int], omega: tuple[int, ...]) -> list[int]:
+    """The remainder of c (a list, consumed) by the monic omega, not yet
+    reduced mod p^k."""
+    d = len(omega) - 1
+    for i in range(len(c) - 1, d - 1, -1):
+        top = c[i]
+        if top:
+            for j in range(d):
+                c[i - d + j] -= top * omega[j]
+    return c[:d]
+
+
+def _mul(a: tuple[int, ...], b: tuple[int, ...], omega: tuple[int, ...], m: int,
+         add: int = 0) -> tuple[int, ...]:
+    """a * b + add in (Z/m)[t]/(omega), for coefficient tuples of length
+    deg omega, with one reduction mod m per coefficient of the result."""
+    raw = [0] * (2 * len(a) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                raw[i + j] += x * y
+    raw[0] += add
+    return tuple(c % m for c in _reduce(raw, omega))
 
 
 @dataclass(frozen=True)
@@ -230,13 +266,7 @@ class PadicElement:
     def __mul__(self, other):
         other = self._coerce(other)
         ring = self.ring
-        raw = [0] * (2 * ring.degree - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    raw[i + j] += a * b
-        m = ring.modulus
-        return PadicElement(ring, tuple(c % m for c in ring._reduce_by_omega(raw)))
+        return PadicElement(ring, _mul(self.coeffs, other.coeffs, ring.omega, ring.modulus))
 
     def _coerce(self, other):
         if isinstance(other, PadicElement):
@@ -329,6 +359,9 @@ class ApproxRoots:
     ring: UnramifiedRing
     roots: tuple[PadicElement, ...]
     poly: tuple[int, ...]
+    # y_i = f'(alpha_i)^-1 mod p^k as flat values (see _newton), recorded by
+    # the lift that made these roots; None for roots made any other way.
+    inverses: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -487,34 +520,82 @@ def lift_roots(f: Sequence[int], ring: UnramifiedRing, seed: int = 0) -> ApproxR
     return increase_precision(start, ring.k)
 
 
-def increase_precision(roots: ApproxRoots, k_new: int) -> ApproxRoots:
+def increase_precision(roots: ApproxRoots, k_new: int, inverses=None) -> ApproxRoots:
     """Same roots (same labeling) at a higher precision, by Newton steps
-    that double the precision; f'(alpha) is inverted once per root and its
-    inverse lifted along.  Every result is checked to be a root."""
+    that double the precision (_newton), with f'(alpha)^-1 lifted along.
+
+    inverses resumes a lift: the y_i = f'(alpha_i)^-1 mod p^k of the roots
+    at their precision k, as the lift that made them recorded them in its
+    `inverses`.  A RootContext passes those of its top lift, so f'(alpha)
+    is inverted once per context.  Without them f'(alpha) is inverted once
+    per root.  Every result is checked to be a root of f mod p^k_new (a
+    PadicError otherwise) and records its inverses mod p^k_new.
+    """
     old = roots.ring
     if k_new < old.k:
         raise PadicError("cannot decrease precision")
-    steps = []
+    f = roots.poly
+    fprime = tuple(i * f[i] for i in range(1, len(f)))
+    omega, flat = old.omega, old.degree == 1
+    alphas = [r.coeffs[0] if flat else r.coeffs for r in roots.roots]
+    if inverses is None:
+        inverses = []
+        for a in alphas:
+            d = _horner(fprime, a, omega, old.modulus)
+            y = PadicElement(old, (d,) if flat else d).inverse().coeffs
+            inverses.append(y[0] if flat else y)
+    moduli = []
     prec = old.k
     while prec < k_new:
         prec = min(2 * prec, k_new)
-        steps.append(old.at_precision(prec))
-    f = roots.poly
-    fprime = tuple(i * f[i] for i in range(1, len(f)))
-    lifted = []
-    for alpha in roots.roots:
-        # y is f'(alpha)^-1 to the precision alpha had before the step,
-        # which is all a doubling step needs; one Newton update per step
-        # carries it along.
-        y = pol.evaluate(fprime, alpha).inverse()
-        for ring in steps:
-            alpha, y = ring.element(alpha.coeffs), ring.element(y.coeffs)
-            alpha = alpha - pol.evaluate(f, alpha) * y
-            y = y * (ring.from_int(2) - pol.evaluate(fprime, alpha) * y)
-        if not pol.evaluate(f, alpha).is_zero():
+        moduli.append(old.p**prec)
+    ring = old.at_precision(k_new)
+    zero = 0 if flat else (0,) * old.degree
+    lifted, lifted_inverses = [], []
+    for a, y in zip(alphas, inverses):
+        a, y = _newton(f, fprime, a, y, moduli, omega)
+        if _horner(f, a, omega, ring.modulus) != zero:
             raise PadicError(f"lifted value is not a root of f mod {old.p}^{k_new}")
-        lifted.append(alpha)
-    return ApproxRoots(old.at_precision(k_new), tuple(lifted), f)
+        lifted.append(PadicElement(ring, (a,) if flat else a))
+        lifted_inverses.append(y)
+    return ApproxRoots(ring, tuple(lifted), f, tuple(lifted_inverses))
+
+
+# The Newton kernel runs on flat values: an element of (Z/m)[t]/(omega) is
+# an int in [0, m) when deg omega = 1, and otherwise its coefficient tuple.
+# Each product is reduced by omega and then once mod m (_mul).
+
+def _horner(f: tuple[int, ...], a, omega: tuple[int, ...], m: int):
+    """f(a) mod m for an integral f (constant term first), a flat value a."""
+    if isinstance(a, int):
+        acc = f[-1] % m
+        for c in reversed(f[:-1]):
+            acc = (acc * a + c) % m
+        return acc
+    acc = (f[-1] % m,) + (0,) * (len(a) - 1)
+    for c in reversed(f[:-1]):
+        acc = _mul(acc, a, omega, m, c)
+    return acc
+
+
+def _newton(f, fprime, alpha, y, moduli, omega):
+    """alpha and y = f'(alpha)^-1 after one Newton step per modulus m.
+
+    Each step takes alpha, a root of f mod p^j, and y, its inverse
+    derivative mod p^j, to a root and its inverse derivative mod m, for
+    m dividing p^(2j): alpha - f(alpha) y, then y (2 - f'(alpha) y).
+    """
+    if isinstance(alpha, int):
+        for m in moduli:
+            alpha = (alpha - _horner(f, alpha, omega, m) * y) % m
+            y = y * (2 - _horner(fprime, alpha, omega, m) * y) % m
+        return alpha, y
+    for m in moduli:
+        step = _mul(_horner(f, alpha, omega, m), y, omega, m)
+        alpha = tuple((a - b) % m for a, b in zip(alpha, step))
+        u = _mul(_horner(fprime, alpha, omega, m), y, omega, m)
+        y = _mul(y, (2 - u[0],) + tuple(-c for c in u[1:]), omega, m)
+    return alpha, y
 
 
 def eval_target(g, roots: ApproxRoots) -> PadicElement:
@@ -537,7 +618,9 @@ def eval_target(g, roots: ApproxRoots) -> PadicElement:
 
 
 def frobenius_perm(roots: ApproxRoots) -> tuple[int, ...]:
-    """Permutation sigma (0-indexed images) with alpha_i^p = alpha_{sigma(i)} mod p."""
+    """Permutation sigma (0-indexed images) with alpha_i^p = alpha_{sigma(i)} mod p.
+
+    RootContext.frobenius keeps it for the roots of a context."""
     residues = [r.residue() for r in roots.roots]
     index = {res: i for i, res in enumerate(residues)}
     if len(index) != len(residues):
@@ -558,10 +641,12 @@ class RootContext:
     """The roots of one squarefree f at one prime p, shared by every query.
 
     Made only by root_context().  It holds the PrimeSelection, the ring
-    (omega found and tested irreducible once; other precisions reuse it)
-    and the highest-precision lift made so far.  roots(k) reduces that lift
-    mod p^k when k is at or below its precision, and otherwise lifts upward
-    from it with increase_precision.
+    (omega found and tested irreducible once; other precisions reuse it),
+    the highest-precision lift made so far with its Newton state (the
+    inverses y_i = f'(alpha_i)^-1 the lift records), and the Frobenius
+    permutation of the roots.  roots(k) reduces the top lift mod p^k when
+    k is at or below its precision, and otherwise resumes its Newton steps
+    with increase_precision, inverting nothing again.
     """
 
     def __init__(self, f: tuple[int, ...], p: int, seed: int):
@@ -570,6 +655,7 @@ class RootContext:
         self.seed = seed
         self._selection: PrimeSelection | None = None
         self._top: ApproxRoots | None = None
+        self._frobenius: tuple[int, ...] | None = None
 
     @property
     def selection(self) -> PrimeSelection:
@@ -588,11 +674,22 @@ class RootContext:
             ring = build_unramified(self.p, self.f_p, k, seed=self.seed)
             top = self._top = lift_roots(self.f, ring, seed=self.seed)
         elif k > top.k:
-            top = self._top = increase_precision(top, k)
+            top = self._top = increase_precision(top, k, top.inverses)
         if k == top.k:
             return top
         ring = top.ring.at_precision(k)
-        return ApproxRoots(ring, tuple(ring.element(r.coeffs) for r in top.roots), self.f)
+        m = ring.modulus
+        return ApproxRoots(
+            ring, tuple(PadicElement(ring, tuple(c % m for c in r.coeffs)) for r in top.roots),
+            self.f)
+
+    @property
+    def frobenius(self) -> tuple[int, ...]:
+        """The Frobenius permutation of the labeled roots (frobenius_perm),
+        computed once, from the residues."""
+        if self._frobenius is None:
+            self._frobenius = frobenius_perm(self.roots(1))
+        return self._frobenius
 
 
 def root_context(
@@ -606,7 +703,10 @@ def root_context(
     ValueError on both paths, before any work.  There is one context per
     (f, p, seed), so an automatic and a fixed choice of the same prime
     reach the same object; the automatic choice itself is made once per
-    (f, prefer) and shared by every seed.
+    (f, prefer) and shared by every seed.  The automatic path leaves its
+    choice as the context's selection, so ctx.selection.f_p_lcm covers the
+    scan behind this call; a selection made at a fixed prime has
+    f_p_lcm = f_p.
 
     An admissible prime proves f squarefree over Q: f is monic, so a
     square factor over Q is a monic integral square factor, and it stays
@@ -622,8 +722,7 @@ def root_context(
         return _root_context(f, int(prime), int(seed))
     sel = _automatic_selection(f, prefer)
     ctx = _root_context(f, sel.p, int(seed))
-    if ctx._selection is None:
-        ctx._selection = sel
+    ctx._selection = sel
     return ctx
 
 

@@ -167,16 +167,22 @@ def embedding_bound(g: ExponentPolynomial, m_prime: int) -> int:
     return sum(abs(c) * m_prime ** sum(exps) for c, exps in g.terms)
 
 
-def degree_bound(f: Sequence[int], group_order: int | None = None, f_p: int = 1) -> int:
+def degree_bound(f: Sequence[int], group_order: int | None = None, f_p: int = 1,
+                 f_p_lcm: int | None = None) -> int:
     """Upper bound on the degree of the splitting field of f over Q.  A
     group order must be a multiple of f_p, the order of Frobenius at the
-    working prime."""
+    working prime, and of f_p_lcm, the lcm of the orders of Frobenius at
+    the primes the prime scan factored f at (f_p when it is None)."""
     if group_order is not None:
         if group_order < 1:
             raise ValueError("group order must be positive")
         if group_order % f_p:
             raise ValueError(f"group order {group_order} is not a multiple of "
                              f"f_p = {f_p}, the order of Frobenius at the working prime")
+        if f_p_lcm is not None and group_order % f_p_lcm:
+            raise ValueError(f"group order {group_order} is not a multiple of "
+                             f"{f_p_lcm}, the lcm of the orders of Frobenius at the "
+                             f"primes the prime scan factored f at")
         return int(group_order)
     return math.factorial(max(len(f) - 1, 1))
 
@@ -225,7 +231,7 @@ def zero_test(
     f = tuple(int(c) for c in f)
     ctx = padic.root_context(f, prime, seed=seed)
     sel = ctx.selection
-    r = degree_bound(f, group_order, sel.f_p)
+    r = degree_bound(f, group_order, sel.f_p, _scan_lcm(sel, prime))
     if g.is_zero_poly():
         return True, BoundData(1, 1, 1, 1, 1, sel.p, sel.f_p)
     m_prime = complex_root_bound(f)
@@ -263,7 +269,14 @@ def _is_proven_relation(e, targets: TargetSet, prime, group_order, seed) -> bool
 
 # ------------------------------------------------- ladder of both routes
 
-def _shared_bounds(targets: TargetSet, group_order, f_p: int):
+def _scan_lcm(sel: padic.PrimeSelection, prime) -> int | None:
+    """The f_p_lcm a group order is checked against: that of the prime
+    scan behind an automatic prime, none at a fixed prime (whose f_p check
+    stays as it was)."""
+    return sel.f_p_lcm if prime is None else None
+
+
+def _shared_bounds(targets: TargetSet, group_order, f_p: int, f_p_lcm: int | None = None):
     """M', M, r, N and the squared-norm threshold of both routes' ladders.
 
     Lambda has a basis of sup-norm <= N, so a reduced basis of any lattice
@@ -276,7 +289,7 @@ def _shared_bounds(targets: TargetSet, group_order, f_p: int):
     """
     m_prime = complex_root_bound(targets.f)
     m = max(max((embedding_bound(g, m_prime) for g in targets.targets)), 1)
-    r = degree_bound(targets.f, group_order, f_p)
+    r = degree_bound(targets.f, group_order, f_p, f_p_lcm)
     n_bound = masser_bound(targets.s, m)
     threshold_sq = 2 ** (targets.s + f_p - 1) * targets.s * n_bound**2
     return m_prime, m, r, n_bound, threshold_sq
@@ -379,7 +392,8 @@ def find_relations_lll(
     check_mode(mode)
     ctx = padic.root_context(targets.f, prime, seed=seed)
     sel = ctx.selection
-    m_prime, m, r, n_bound, threshold_sq = _shared_bounds(targets, group_order, sel.f_p)
+    m_prime, m, r, n_bound, threshold_sq = _shared_bounds(
+        targets, group_order, sel.f_p, _scan_lcm(sel, prime))
     # Precision so that any row of L_k under the threshold is a certified
     # relation, not just a mod-p^k coincidence.
     t_bound = math.isqrt(threshold_sq) + 1
@@ -433,21 +447,19 @@ def find_relations_galois(
         raise ValueError("group degree must equal deg f")
     ctx = padic.root_context(targets.f, prime, prefer="max", seed=seed)
     sel = ctx.selection
-    m_prime, m, r, n_bound, threshold_sq = _shared_bounds(targets, group_order, sel.f_p)
+    m_prime, m, r, n_bound, threshold_sq = _shared_bounds(
+        targets, group_order, sel.f_p, _scan_lcm(sel, prime))
     k = max(2, math.ceil(1.5 * math.log(max(n_bound, 2)) / math.log(sel.p)))
 
     # escalation rounds meet rows again: test each row once per search
     is_relation = functools.cache(
         lambda e: _is_proven_relation(e, targets, sel.p, group_order, seed))
+    for g in group.generators:
+        if not galois_mod.validate_action(g, ctx):
+            raise ValueError(f"permutation {g} fails the root-action check")
     subset = galois_mod.initial_subset(n)
-    validated = False
     for rnd in range(MAX_ROUNDS):
         roots = ctx.roots(k)
-        if not validated:
-            for g in group.generators:
-                if not galois_mod.validate_action(g, roots):
-                    raise ValueError(f"permutation {g} fails the root-action check")
-            validated = True
         b_rows = []
         for g in targets.targets:
             row = []

@@ -44,12 +44,9 @@ def prime_for(entry: Entry) -> int:
     return padic.root_context(entry.poly, prefer="max").p
 
 
-def roots_for(entry: Entry, k: int = 8, seed: int = 0):
-    """Labeled approximate roots at the prime the permutation route picks."""
-    return padic.root_context(entry.poly, prefer="max", seed=seed).roots(k)
-
-
 def group_for(entry: Entry, seed: int = 0):
-    """Permutation group for the entry, built from labeled roots."""
-    return galois.group_of_kind(entry.group_kind, roots_for(entry, seed=seed),
-                                entry.exponents)
+    """Permutation group for the entry, built from the labeled roots of the
+    context the permutation route uses."""
+    return galois.group_of_kind(
+        entry.group_kind, padic.root_context(entry.poly, prefer="max", seed=seed),
+        entry.exponents)

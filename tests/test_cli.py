@@ -114,6 +114,29 @@ def test_hull_rejects_a_group_order_frobenius_rules_out():
     assert "f_p" in result.output
 
 
+def test_group_order_the_prime_scan_rules_out_exits_2(tmp_path):
+    # x^5 - x - 1 (Galois group S5): Frobenius has order 6 at p = 7 and 5 at
+    # p = 11, so no group order outside 30Z is possible; f_p = 2 at the LLL
+    # route's prime p = 67 let 2 through
+    poly = [-1, -1, 0, 0, 0, 1]
+    targets = [[[1, [1 if j == i else 0 for j in range(5)]]] for i in range(5)]
+    companion = [[0, 0, 0, 0, 1], [1, 0, 0, 0, 1], [0, 1, 0, 0, 0],
+                 [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps([[2, 1, 3, 4, 5], [2, 3, 4, 5, 1]]))
+    calls = [
+        (["relations", "-", "--group-order", "2"], {"poly": poly, "targets": targets}),
+        (["relations", "-", "--group-order", "6", "--group", str(group)],
+         {"poly": poly, "targets": targets}),
+        (["hull", "-", "--group-order", "2"], {"matrix": companion}),
+        (["iszero", "-", "--group-order", "2"], {"poly": poly, "target": targets[0][0:1]}),
+    ]
+    for args, payload in calls:
+        result = runner.invoke(main, args, input=json.dumps(payload))
+        assert result.exit_code == 2, (args, result.output)
+        assert "the lcm of the orders of Frobenius" in result.output, args
+
+
 def test_iszero_command():
     payload = {"poly": [-2, 0, 1], "target": [[1, [1, 0]], [1, [0, 1]]]}
     result = _invoke(["iszero", "-"], stdin=json.dumps(payload))

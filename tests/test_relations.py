@@ -7,6 +7,7 @@ membership). Both search routes must agree lattice-wise, and heuristic
 mode must match proven mode.
 """
 
+import functools
 import random
 
 import pytest
@@ -72,6 +73,61 @@ def test_group_order_frobenius_rules_out_is_rejected(route, p, f_p):
         hull.hull_matrix(x, route=route, group=group, group_order=1)
     assert hull.hull_matrix(x, route=route, group=group,
                             group_order=entry.group_order).dim == 4
+
+
+QUINTIC = (-1, -1, 0, 0, 0, 1)  # x^5 - x - 1, Galois group S5 of order 120
+
+
+def test_degree_bound_checks_the_scan_lcm():
+    assert rel.degree_bound(QUINTIC, group_order=120, f_p=2, f_p_lcm=30) == 120
+    with pytest.raises(ValueError, match="30, the lcm"):
+        rel.degree_bound(QUINTIC, group_order=2, f_p=2, f_p_lcm=30)
+    with pytest.raises(ValueError, match="f_p = 6"):  # the working prime's check comes first
+        rel.degree_bound(QUINTIC, group_order=2, f_p=6, f_p_lcm=30)
+
+
+@pytest.mark.parametrize("prefer", ["min", "max"])
+def test_prime_scan_records_the_lcm_of_the_frobenius_orders(prefer, cold_contexts):
+    # f_p = 6 at p = 7 (factor degrees 2, 3) and f irreducible at p = 11
+    assert padic.factor_degrees(QUINTIC, 7) == (2, 3)
+    assert padic.factor_degrees(QUINTIC, 11) == (5,)
+    sel = padic.select_prime(QUINTIC, prefer=prefer)
+    assert (sel.p, sel.f_p) == ((67, 2) if prefer == "min" else (7, 6))
+    # the scan covers p = 7 and 11, and every f_p divides |S5| = 120
+    assert sel.f_p_lcm % 30 == 0 and 120 % sel.f_p_lcm == 0
+    # a fixed prime's selection covers that prime alone; the automatic
+    # choice of the same prime reaches the same context with its scan
+    fixed = padic.root_context(QUINTIC, prime=sel.p)
+    assert fixed.selection.f_p_lcm == sel.f_p
+    assert padic.root_context(QUINTIC, prefer=prefer) is fixed
+    assert fixed.selection.f_p_lcm == sel.f_p_lcm
+
+
+@pytest.mark.parametrize("route", ["lll", "galois"])
+def test_group_order_the_prime_scan_rules_out_is_rejected(route, cold_contexts):
+    # group_order=2 once gave Z^5 "proven" on the LLL route: f_p = 2 at its
+    # prime p = 67 lets 2 through, the lcm of the scan (a multiple of 30)
+    # does not; on the permutation route (p = 7, f_p = 6) it also rejects 6
+    ts = variables(QUINTIC)
+    if route == "lll":
+        search = functools.partial(rel.find_relations_lll, ts)
+    else:
+        ctx = padic.root_context(QUINTIC, prefer="max")
+        search = functools.partial(rel.find_relations_galois, ts,
+                                   galois.PermGroup.frobenius(ctx))
+    for order in (2, 6, 10, 15):
+        with pytest.raises(ValueError, match="f_p|lcm"):
+            search(group_order=order)
+    with pytest.raises(ValueError, match="the lcm"):
+        rel.zero_test(rel.ExponentPolynomial.variable(0, 5), QUINTIC, group_order=2)
+    assert search(group_order=120).rows == ((1, 1, 1, 1, 1),)  # the roots sum to 0
+
+
+@pytest.mark.parametrize("entry", corpus.CORPUS, ids=lambda e: e.label)
+def test_scan_lcm_divides_every_corpus_group_order(entry):
+    for prefer in ("min", "max"):
+        assert entry.group_order % padic.root_context(entry.poly, prefer=prefer) \
+            .selection.f_p_lcm == 0, prefer
 
 
 @pytest.mark.parametrize("entry", corpus.CORPUS, ids=lambda e: e.label)
