@@ -3,8 +3,8 @@
 Conventions: polynomials are coefficient lists with the constant term
 first; rationals are serialized as decimal strings like "-3/4"; sparse
 targets are term lists [[coeff, [e1, ..., en]], ...]; permutations are
-1-indexed one-line images.  Exit codes: 0 success, 2 input error,
-3 the permutation route's relation search ran out of rounds.
+1-indexed one-line images.  Exit codes: 0 success, 2 input error
+(including a --group generator that fails the root-action check).
 """
 
 from __future__ import annotations
@@ -105,9 +105,6 @@ def _run(fn):
     """Map domain errors onto the documented exit codes."""
     try:
         return fn()
-    except rel.EscalationExhausted as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)

@@ -7,33 +7,31 @@ whether a single expression vanishes and computes a Z-basis of
     Lambda = {e in Z^s : e_1 g_1(a) + ... + e_s g_s(a) = 0}.
 
 Everything runs through approximate roots in an unramified extension of
-Q_p; no splitting field is ever constructed.  Two routes are available.
-The LLL route reduces the relation lattice mod p^k,
+Q_p; no splitting field is ever constructed.  Both routes run one search
+on the relation lattice mod p^k,
 
     L_k = {e in Z^s : e_1 g_1(a) + ... + e_s g_s(a) = 0 mod p^k},
 
-which contains Lambda, climbing to k in rungs and pruning the rows too
-long to matter, and keeps its short rows.  The permutation route climbs
-the same ladder on a lattice with more constraints: the relation must
-also hold at the roots permuted by each element of a subset of a
-permutation group.  Each row returned passes a zero test at a precision
-picked from a norm bound, so the answers are unconditionally correct.
-mode="heuristic" is accepted by both routes and runs the proven search.
+which contains Lambda.  It climbs a precision ladder in rungs, pruning
+the rows too long to matter, and stops at the first rung where every
+kept row e is certified: e lies in L_k, and k is at least the precision
+at which the zero test of sum e_i g_i is proven.  The ladder never
+climbs past a ceiling at which every short row is certified, so the
+answers are unconditionally correct.  The LLL route searches at the
+working prime of least residue degree, the permutation route at that of
+largest residue degree; the permutation route's group is only validated
+(see find_relations_galois).  mode="heuristic" is accepted by both
+routes and runs the proven search.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import galois as galois_mod
 from . import lattice, padic
-
-
-class EscalationExhausted(RuntimeError):
-    """The iterative relation search hit its round cap before converging."""
 
 
 def check_mode(mode: str) -> None:
@@ -121,8 +119,8 @@ class BoundData:
     M_prime bounds every complex root of f; M bounds every complex
     embedding of every target; r bounds the degree of the field the
     targets live in; N bounds the sup-norm of some Z-basis of Lambda;
-    k is the p-adic precision exponent actually used: the LLL route's
-    k_proven, or the precision of the permutation route's last round.
+    k is the p-adic precision exponent of the rung where the relation
+    search stopped (the precision picked for a zero test).
     p and f_p are the working prime and its residue degree.
     """
 
@@ -253,21 +251,7 @@ def is_zero(g, f, mode: str = "proven", prime: int | None = None, **kw) -> bool:
     return zero_test(g, f, mode=mode, prime=prime, **kw)[0]
 
 
-def _combination(targets: TargetSet, e: Sequence[int]) -> ExponentPolynomial:
-    terms = []
-    for c, g in zip(e, targets.targets):
-        if c:
-            terms.extend((int(c) * tc, exps) for tc, exps in g.terms)
-    return ExponentPolynomial(tuple(terms))
-
-
-def _is_proven_relation(e, targets: TargetSet, prime, group_order, seed) -> bool:
-    """Whether sum(e_i g_i) vanishes, by the proven zero test."""
-    return is_zero(_combination(targets, e), targets.f, mode="proven",
-                   prime=prime, group_order=group_order, seed=seed)
-
-
-# ------------------------------------------------- ladder of both routes
+# ------------------------------------------------------ the one search
 
 def _scan_lcm(sel: padic.PrimeSelection, prime) -> int | None:
     """The f_p_lcm a group order is checked against: that of the prime
@@ -277,15 +261,15 @@ def _scan_lcm(sel: padic.PrimeSelection, prime) -> int | None:
 
 
 def _shared_bounds(targets: TargetSet, group_order, f_p: int, f_p_lcm: int | None = None):
-    """M', M, r, N and the squared-norm threshold of both routes' ladders.
+    """M', M, r, N and the squared-norm threshold of the relation search.
 
     Lambda has a basis of sup-norm <= N, so a reduced basis of any lattice
     between Lambda and L_k (dimension at most s) starts with rank Lambda
     rows of squared 2-norm at most 2^(s-1) * s * N^2 (the LLL bound for
     delta = 3/4, the reduction every search here runs).  The threshold
-    allows the larger bound of dimension s + f_p, and the LLL route's
-    k_proven follows from it: a tighter threshold would lower the
-    certified precision and change which rows each rung keeps.
+    allows the larger bound of dimension s + f_p, and the ladder's
+    ceiling k_cap follows from it: a tighter threshold would lower the
+    ceiling and change which rows each rung keeps.
     """
     m_prime = complex_root_bound(targets.f)
     m = max(max((embedding_bound(g, m_prime) for g in targets.targets)), 1)
@@ -320,46 +304,37 @@ def _relation_lattice(b_rows, p: int, k: int):
     return tuple(tuple(row) for row in rows)
 
 
-# Bits of p^k that one rung of the precision ladder climbs (see _climb).
+# Bits of p^k that one rung of the precision ladder climbs (see _search).
 RUNG_BITS = 128
 
 
-def _climb(b_rows, p: int, k: int, threshold_sq: int):
-    """The precision ladder from Z^s up to L_k.
+def _rung(basis, b_rows, p: int, k_from: int, k_to: int, threshold_sq: int):
+    """One rung of the precision ladder, from L_k_from to L_k_to.
 
-    b_rows is B at precision k or higher.  The ladder keeps an LLL-reduced
-    basis of a lattice M with Lambda <= M <= L_k' at each rung k', from
-    M = Z^s at k' = 0.  Each rung from k' to k'' (p^(k''-k') about
-    2^RUNG_BITS) reduces B mod p^k'': W_i = (M_i B mod p^k'') / p^k' is
-    integral because M <= L_k', and with C = _relation_lattice(W, p,
-    k''-k') the rows of C M are a basis of M meet L_k''.  After LLL, each
-    trailing row whose Gram-Schmidt vector has squared norm above
-    threshold_sq is dropped.  That keeps every vector v of squared norm at
-    most threshold_sq, since ||v|| >= ||b_h*|| for the last row b_h that v
-    uses, and Lambda is generated by vectors of squared norm at most
-    s N^2 <= threshold_sq; so Lambda <= M on every rung.
+    basis is an LLL-reduced basis of a lattice M with Lambda <= M <=
+    L_k_from, and b_rows is B at precision k_to or higher.  W_i = (M_i B
+    mod p^k_to) / p^k_from is integral because M <= L_k_from, and with C =
+    _relation_lattice(W, p, k_to - k_from) the rows of C M are a basis of
+    M meet L_k_to.  After LLL, each trailing row whose Gram-Schmidt vector
+    has squared norm above threshold_sq is dropped.  That keeps every
+    vector v of squared norm at most threshold_sq, since ||v|| >= ||b_h*||
+    for the last row b_h that v uses, and Lambda is generated by vectors
+    of squared norm at most s N^2 <= threshold_sq; so Lambda <= M on every
+    rung.
     """
-    s = len(b_rows)
-    basis = tuple(tuple(int(i == j) for j in range(s)) for i in range(s))
-    step = max(1, int(RUNG_BITS / math.log2(p)))
-    k_from, shift = 0, 1
-    while basis and k_from < k:
-        k_to = min(k_from + step, k)
-        pk = p**k_to
-        w = [tuple((sum(m * b for m, b in zip(row, col) if m) % pk) // shift
-                   for col in zip(*b_rows))
-             for row in basis]
-        cols = tuple(zip(*basis))
-        basis = lattice.lll_reduce(
-            [[sum(x * y for x, y in zip(crow, col) if x) for col in cols]
-             for crow in _relation_lattice(w, p, k_to - k_from)])
-        d = lattice.gram_determinants(basis)
-        keep = len(basis)
-        while keep and d[keep] > threshold_sq * d[keep - 1]:
-            keep -= 1
-        basis = basis[:keep]
-        k_from, shift = k_to, pk
-    return basis
+    pk, shift = p**k_to, p**k_from
+    w = [tuple((sum(m * b for m, b in zip(row, col) if m) % pk) // shift
+               for col in zip(*b_rows))
+         for row in basis]
+    cols = tuple(zip(*basis))
+    basis = lattice.lll_reduce(
+        [[sum(x * y for x, y in zip(crow, col) if x) for col in cols]
+         for crow in _relation_lattice(w, p, k_to - k_from)])
+    d = lattice.gram_determinants(basis)
+    keep = len(basis)
+    while keep and d[keep] > threshold_sq * d[keep - 1]:
+        keep -= 1
+    return basis[:keep]
 
 
 def _finalize(rows):
@@ -369,7 +344,56 @@ def _finalize(rows):
     return lattice.lll_reduce(sat) if sat else ()
 
 
-# -------------------------------------------------------------- LLL route
+def _search(targets: TargetSet, ctx: padic.RootContext, bounds) -> RelationBasis:
+    """The relation search of both routes: climb the precision ladder and
+    stop at the first certified rung.
+
+    The ladder keeps an LLL-reduced basis of a lattice M with Lambda <= M
+    <= L_k', from M = Z^s at k' = 0.  Each rung (p^(k''-k') about
+    2^RUNG_BITS) lifts the roots to k'', evaluates each target once and
+    runs _rung, so Lambda <= M holds on every rung.  A row e of M is
+    certified at k' when k_e <= k', where k_e = proven_precision(p, f_p,
+    sum |e_i| embedding_bound(g_i), r) is the precision zero_test picks
+    for sum e_i g_i: e lies in L_k', so that sum vanishes mod p^k_e, and
+    hence vanishes.  Once every row is certified, M <= Lambda too, so M =
+    Lambda and the search stops.
+
+    The ceiling k_cap is the precision at which every row under the
+    threshold of _shared_bounds is certified; the ladder never climbs
+    past it.  There the rows with k_e <= k_cap include rank(Lambda)
+    independent relations, so their saturation is Lambda.  BoundData.k is
+    the rung where the search stopped.  Before returning, each certified
+    row is checked against the B of that rung mod p^k_e.
+    """
+    m_prime, m, r, n_bound, threshold_sq = bounds
+    p, f_p, s = ctx.p, ctx.f_p, targets.s
+    k_cap = proven_precision(p, f_p, (math.isqrt(threshold_sq) + 1) * m * s, r)
+    sizes = [embedding_bound(g, m_prime) for g in targets.targets]
+
+    def k_row(e):
+        return proven_precision(p, f_p, max(sum(abs(c) * b for c, b in zip(e, sizes)), 1), r)
+
+    basis = tuple(tuple(int(i == j) for j in range(s)) for i in range(s))
+    step = max(1, int(RUNG_BITS / math.log2(p)))
+    k = 0
+    while True:
+        k_from, k = k, min(k + step, k_cap)
+        roots = ctx.roots(k)
+        b_rows = [padic.eval_target(g, roots).coeffs for g in targets.targets]
+        basis = _rung(basis, b_rows, p, k_from, k, threshold_sq)
+        certified = [(e, k_e) for e in basis if (k_e := k_row(e)) <= k]
+        if k == k_cap or len(certified) == len(basis):
+            break
+    for e, k_e in certified:
+        pk = p**k_e
+        if any(sum(c * x for c, x in zip(e, col)) % pk for col in zip(*b_rows)):
+            raise RuntimeError(f"certified row {e} is not a relation mod p^{k_e}")
+    rows = _finalize([e for e, _ in certified])
+    return RelationBasis(tuple(rows), "proven",
+                         BoundData(m_prime, m, r, n_bound, k, p, f_p))
+
+
+# ------------------------------------------------------------------ routes
 
 def find_relations_lll(
     targets: TargetSet,
@@ -378,47 +402,19 @@ def find_relations_lll(
     group_order: int | None = None,
     seed: int = 0,
 ) -> RelationBasis:
-    """Z-basis of the relation lattice via LLL on L_k.
+    """Z-basis of the relation lattice at the context of least residue
+    degree (prefer="min", f_p = 1 where some prime splits f).
 
     B_i is the coefficient vector of the lifted value of g_i, and L_k =
-    {e : sum e_i B_i = 0 mod p^k} contains Lambda.  One precision ladder
-    per search (_climb) keeps an LLL-reduced basis of a lattice M with
-    Lambda <= M <= L_k, in dimension at most s.  At proven precision the
-    rows of M under the size threshold are relations and include
-    rank(Lambda) independent ones, so their saturation is Lambda; each is
-    re-verified independently anyway.  mode="heuristic" is accepted and
-    runs the same search: the answer is "proven" in both modes.
+    {e : sum e_i B_i = 0 mod p^k} contains Lambda; _search climbs to the
+    first rung where every kept row is a certified relation.
+    mode="heuristic" is accepted and runs the same search: the answer is
+    "proven" in both modes.
     """
     check_mode(mode)
     ctx = padic.root_context(targets.f, prime, seed=seed)
-    sel = ctx.selection
-    m_prime, m, r, n_bound, threshold_sq = _shared_bounds(
-        targets, group_order, sel.f_p, _scan_lcm(sel, prime))
-    # Precision so that any row of L_k under the threshold is a certified
-    # relation, not just a mod-p^k coincidence.
-    t_bound = math.isqrt(threshold_sq) + 1
-    k_proven = proven_precision(sel.p, sel.f_p, t_bound * m * targets.s, r)
-
-    roots = ctx.roots(k_proven)
-    b_rows = [padic.eval_target(g, roots).coeffs for g in targets.targets]
-    basis = _climb(b_rows, sel.p, k_proven, threshold_sq)
-    final = _finalize([e for e in basis if sum(x * x for x in e) <= threshold_sq
-                       and _is_proven_relation(e, targets, sel.p, group_order, seed)])
-    bounds = BoundData(m_prime, m, r, n_bound, k_proven, sel.p, sel.f_p)
-    return RelationBasis(tuple(final), "proven", bounds)
-
-
-# ------------------------------------------------------ permutation route
-
-def _eval_permuted(g: ExponentPolynomial, roots: padic.ApproxRoots, sigma):
-    permuted = padic.ApproxRoots(
-        roots.ring, tuple(roots.roots[sigma[j]] for j in range(len(sigma))), roots.poly
-    )
-    return padic.eval_target(g, permuted)
-
-
-# Escalation rounds of find_relations_galois before it gives up.
-MAX_ROUNDS = 60
+    bounds = _shared_bounds(targets, group_order, ctx.f_p, _scan_lcm(ctx.selection, prime))
+    return _search(targets, ctx, bounds)
 
 
 def find_relations_galois(
@@ -429,49 +425,25 @@ def find_relations_galois(
     group_order: int | None = None,
     seed: int = 0,
 ) -> RelationBasis:
-    """Z-basis of the relation lattice via a permutation action on roots.
+    """Z-basis of the relation lattice at the context of largest residue
+    degree (prefer="max"), for a permutation group of the roots.
 
-    For every sigma in a growing subset S of the group, the coefficient
-    block of each g_i evaluated at the sigma-permuted roots is appended
-    as extra columns, and the LLL route's precision ladder (_climb) runs
-    on the stacked matrix mod p^k.  Pruning keeps Lambda <= M, so once
-    every kept row passes the proven zero test, M = Lambda and its
-    saturation is returned.  Otherwise S grows by at most 20 percent and
-    k by 20 percent, for at most MAX_ROUNDS rounds.  mode="heuristic" is
+    The group's generators must pass validate_action (ValueError
+    otherwise); then the search is _search, as on the LLL route.  The
+    group adds no constraint.  Frobenius is a Z/p^k-linear automorphism
+    of the unramified ring, so the condition at the roots permuted by a
+    power of it is the same as at the roots themselves; and any other
+    permutation is only trusted, not proven, so a group larger than the
+    Galois group would cut true relations out.  mode="heuristic" is
     accepted and runs the same search: the answer is "proven" in both
     modes.
     """
     check_mode(mode)
-    n = len(targets.f) - 1
-    if group.degree != n:
+    if group.degree != len(targets.f) - 1:
         raise ValueError("group degree must equal deg f")
     ctx = padic.root_context(targets.f, prime, prefer="max", seed=seed)
-    sel = ctx.selection
-    m_prime, m, r, n_bound, threshold_sq = _shared_bounds(
-        targets, group_order, sel.f_p, _scan_lcm(sel, prime))
-    k = max(2, math.ceil(1.5 * math.log(max(n_bound, 2)) / math.log(sel.p)))
-
-    # escalation rounds meet rows again: test each row once per search
-    is_relation = functools.cache(
-        lambda e: _is_proven_relation(e, targets, sel.p, group_order, seed))
+    bounds = _shared_bounds(targets, group_order, ctx.f_p, _scan_lcm(ctx.selection, prime))
     for g in group.generators:
         if not galois_mod.validate_action(g, ctx):
             raise ValueError(f"permutation {g} fails the root-action check")
-    subset = galois_mod.initial_subset(n)
-    for rnd in range(MAX_ROUNDS):
-        roots = ctx.roots(k)
-        b_rows = []
-        for g in targets.targets:
-            row = []
-            for sig in subset.perms:
-                row.extend(_eval_permuted(g, roots, sig).coeffs)
-            b_rows.append(tuple(row))
-        basis = _climb(b_rows, sel.p, k, threshold_sq)
-        if all(is_relation(e) for e in basis):
-            bounds = BoundData(m_prime, m, r, n_bound, k, sel.p, sel.f_p)
-            return RelationBasis(tuple(_finalize(basis)), "proven", bounds)
-        subset = galois_mod.grow_subset(subset, group, seed=seed + rnd)
-        k = math.ceil(1.2 * k)
-    raise EscalationExhausted(
-        f"relation search did not converge in {MAX_ROUNDS} rounds (last k={k})"
-    )
+    return _search(targets, ctx, bounds)

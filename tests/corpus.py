@@ -8,6 +8,7 @@ Polynomials are coefficient tuples, constant term first.
 from dataclasses import dataclass
 
 from alghull import galois, padic
+from alghull import relations as rel
 
 
 @dataclass(frozen=True)
@@ -50,3 +51,9 @@ def group_for(entry: Entry, seed: int = 0):
     return galois.group_of_kind(
         entry.group_kind, padic.root_context(entry.poly, prefer="max", seed=seed),
         entry.exponents)
+
+
+def combination(targets, e):
+    """The target sum e_1 g_1 + ... + e_s g_s, for the public zero test."""
+    return rel.ExponentPolynomial(tuple(
+        (int(c) * tc, exps) for c, g in zip(e, targets.targets) if c for tc, exps in g.terms))

@@ -139,7 +139,7 @@ def test_criterion_04_zero_test_soundness_completeness():
         basis = rel.find_relations_lll(ts, group_order=entry.group_order)
         rows = [list(r) for r in basis.rows]
         for e in basis.rows:
-            assert rel.is_zero(rel._combination(ts, e), ts.f,
+            assert rel.is_zero(corpus.combination(ts, e), ts.f,
                                group_order=entry.group_order), (entry.label, e)
         # random integer combinations of basis rows must also be accepted
         for _ in range(20):
@@ -149,7 +149,7 @@ def test_criterion_04_zero_test_soundness_completeness():
             e = tuple(sum(c * r[j] for c, r in zip(coeffs, rows))
                       for j in range(len(rows[0])))
             if any(e):
-                assert rel.is_zero(rel._combination(ts, e), ts.f,
+                assert rel.is_zero(corpus.combination(ts, e), ts.f,
                                    group_order=entry.group_order), (entry.label, e)
         n = len(entry.poly) - 1
         rejected = 0
@@ -159,7 +159,7 @@ def test_criterion_04_zero_test_soundness_completeness():
                 continue
             if rows and linalg.in_rowspace(rows, list(e)):
                 continue
-            assert not rel.is_zero(rel._combination(ts, e), ts.f,
+            assert not rel.is_zero(corpus.combination(ts, e), ts.f,
                                    group_order=entry.group_order), (entry.label, e)
             rejected += 1
 

@@ -6,7 +6,7 @@ import json
 
 from click.testing import CliRunner
 
-from alghull import relations as rel
+from alghull import lattice
 from alghull.cli import main
 
 runner = CliRunner()
@@ -93,15 +93,27 @@ def test_relations_heuristic_mode_reports_proven_on_both_routes(tmp_path):
         assert out["heuristic"]["bounds"] == out["proven"]["bounds"]
 
 
-def test_relations_exit_3_when_the_rounds_run_out(tmp_path, monkeypatch):
-    monkeypatch.setattr(rel, "MAX_ROUNDS", 0)
-    payload = {"poly": [-2, 0, 1], "targets": [[[1, [1, 0]]], [[1, [0, 1]]]]}
+def test_relations_group_is_validated_not_trusted(tmp_path):
+    # x^4 - 10x^2 + 1 (Galois group V4): a caller's S4 passes the root-action
+    # check and once cut the relations a_i + a_j = 0 out, leaving
+    # [[1, 1, 1, 1]] "proven"; on x^5 - x - 1 a transposition of roots in
+    # Frobenius orbits of lengths 2 and 3 (p = 7) fails the check
     group = tmp_path / "group.json"
-    group.write_text(json.dumps([[2, 1]]))
+    group.write_text(json.dumps([[2, 3, 4, 1], [2, 1, 3, 4]]))
+    targets = [[[1, [1 if j == i else 0 for j in range(4)]]] for i in range(4)]
+    result = _invoke(["relations", "-", "--group", str(group)],
+                     stdin=json.dumps({"poly": [1, 0, -10, 0, 1], "targets": targets}))
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    assert lattice.hnf(data["basis"]) == ((1, 0, 0, 1), (0, 1, 1, 0))
+    assert data["certification"] == "proven"
+    group.write_text(json.dumps([[2, 1, 3, 4, 5]]))
+    targets = [[[1, [1 if j == i else 0 for j in range(5)]]] for i in range(5)]
     result = runner.invoke(main, ["relations", "-", "--group", str(group)],
-                           input=json.dumps(payload))
-    assert result.exit_code == 3
-    assert "did not converge" in result.output
+                           input=json.dumps({"poly": [-1, -1, 0, 0, 0, 1],
+                                             "targets": targets}))
+    assert result.exit_code == 2
+    assert "root-action" in result.output
 
 
 def test_hull_rejects_a_group_order_frobenius_rules_out():

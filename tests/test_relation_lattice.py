@@ -1,19 +1,19 @@
-"""The LLL route reduces the relation lattice mod p^k directly.
+"""The relation search reduces the relation lattice mod p^k directly.
 
 For targets g_1..g_s with lifted values B_1..B_s (coefficient vectors in
-an unramified extension of degree f_p), the LLL route reduces a basis of
+an unramified extension of degree f_p), both routes search
 
     L_k = {e in Z^s : e_1 B_1 + ... + e_s B_s = 0 mod p^k}
 
-and keeps the rows under the size threshold.  It gets there by a
-precision ladder (`_climb`): an LLL-reduced basis of a lattice M with
-Lambda <= M <= L_k is carried from rung to rung, and rows whose
-Gram-Schmidt vectors are too long to matter are pruned.  `_block_extract`
-below is the construction the route started from: reduce the
-(s + f_p)-dimensional block matrix [I | lam B ; 0 | lam p^k I] and keep
-the reduced rows whose trailing block vanishes.  Both must give the same
-lattice at the one precision a search reaches, so every relation search
-keeps its output.
+by a precision ladder (`_rung`, one rung at a time): an LLL-reduced basis
+of a lattice M with Lambda <= M <= L_k is carried from rung to rung, rows
+whose Gram-Schmidt vectors are too long to matter are pruned, and the
+search stops at the first rung where every kept row is certified.
+`_block_extract` below is the construction the LLL route started from:
+reduce the (s + f_p)-dimensional block matrix [I | lam B ; 0 | lam p^k I]
+at the ladder's ceiling k_cap and keep the reduced rows whose trailing
+block vanishes and which pass the public zero test.  Both must give the
+same lattice, wherever the search stops.
 Brute-force enumerations of (Z/p^k)^s check the basis of L_k itself and
 that pruning keeps every short vector of L_k, and a structural guard
 checks that LLL only ever sees s columns, one rung of precision at a time.
@@ -27,7 +27,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import corpus
-from alghull import lattice, padic
+from alghull import galois, lattice, padic
 from alghull import polynomials as pol
 from alghull import relations as rel
 
@@ -55,13 +55,6 @@ def _block_extract(targets, ctx, k, threshold_sq):
     return found
 
 
-def _pass_result(targets, rows, prime, group_order):
-    """What one pass of find_relations_lll keeps: the saturation of the
-    rows that pass the proven zero test."""
-    rows = [e for e in rows if rel._is_proven_relation(e, targets, prime, group_order, 0)]
-    return rel._finalize(rows)
-
-
 def _variables(f):
     n = len(f) - 1
     return rel.TargetSet(tuple(f), tuple(rel.ExponentPolynomial.variable(i, n)
@@ -74,29 +67,31 @@ def _power_sums(f, e):
                                          for i in range(len(e))))
 
 
-def _check_pass_matches_reference(targets, group_order=None):
-    """Run find_relations_lll, and redo its one pass with the block
-    matrix: the rows the pass keeps (those of the ladder's basis under the
-    threshold) must give the same lattice.  Returns the result."""
-    passes = []
-    real = rel._climb
+def _search(targets, route, group=None, group_order=None):
+    """The route's context and relation basis; the permutation route
+    takes the Frobenius group of its context when no group is given."""
+    ctx = padic.root_context(targets.f, prefer="min" if route == "lll" else "max")
+    if route == "lll":
+        return ctx, rel.find_relations_lll(targets, group_order=group_order)
+    group = group or galois.PermGroup.frobenius(ctx)
+    return ctx, rel.find_relations_galois(targets, group, group_order=group_order)
 
-    def recorded(b_rows, p, k, threshold_sq):
-        out = real(b_rows, p, k, threshold_sq)
-        rows = [e for e in out if sum(x * x for x in e) <= threshold_sq]
-        passes.append((p, k, threshold_sq, rows))
-        return out
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rel, "_climb", recorded)
-        res = rel.find_relations_lll(targets, group_order=group_order)
-    assert len(passes) == 1
-    p, k, threshold_sq, rows = passes[0]
-    assert k == res.bounds.k
-    ctx = padic.root_context(targets.f, p)
-    ref = _block_extract(targets, ctx, k, threshold_sq)
-    assert (_pass_result(targets, rows, ctx.p, group_order)
-            == _pass_result(targets, ref, ctx.p, group_order)), k
+def _check_search_matches_reference(targets, route, group=None, group_order=None):
+    """Run the route's search, and redo it at the ladder's ceiling k_cap
+    with the block matrix: the rows under the threshold that pass the
+    public zero test must span the same saturated lattice.  Returns the
+    result."""
+    ctx, res = _search(targets, route, group, group_order)
+    _, m, r, _, threshold_sq = rel._shared_bounds(targets, group_order, ctx.f_p)
+    k_cap = rel.proven_precision(ctx.p, ctx.f_p,
+                                 (math.isqrt(threshold_sq) + 1) * m * targets.s, r)
+    assert (res.bounds.p, res.certification) == (ctx.p, "proven")
+    assert 1 <= res.bounds.k <= k_cap
+    ref = [e for e in _block_extract(targets, ctx, k_cap, threshold_sq)
+           if rel.is_zero(corpus.combination(targets, e), targets.f, prime=ctx.p,
+                          group_order=group_order)]
+    assert lattice.hnf(res.rows) == lattice.hnf(lattice.saturate(ref)), k_cap
     return res
 
 
@@ -115,23 +110,26 @@ def squarefree_polys(draw):
 
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
-@given(squarefree_polys(), st.sampled_from(["stage 1", "stage 2"]))
-def test_relation_lattice_matches_block_matrix(f, stage):
+@given(squarefree_polys(), st.sampled_from(["stage 1", "stage 2"]),
+       st.sampled_from(["lll", "galois"]))
+def test_relation_lattice_matches_block_matrix(f, stage, route):
     targets = _variables(f)
     if stage == "stage 2":
         # the hull's stage-2 targets for a stage-1 row (all ones if none)
-        rows = rel.find_relations_lll(targets).rows
+        rows = _search(targets, route)[1].rows
         targets = _power_sums(f, rows[0] if rows else (1,) * (len(f) - 1))
-    _check_pass_matches_reference(targets)
+    _check_search_matches_reference(targets, route)
 
 
 @pytest.mark.parametrize("entry", corpus.CORPUS, ids=lambda e: e.label)
 def test_relation_lattice_matches_block_matrix_on_corpus(entry):
-    targets = _variables(entry.poly)
-    res = _check_pass_matches_reference(targets, group_order=entry.group_order)
-    for e in res.rows[:1]:
-        _check_pass_matches_reference(_power_sums(entry.poly, e),
-                                      group_order=entry.group_order)
+    for route in ("lll", "galois"):
+        group = corpus.group_for(entry) if route == "galois" else None
+        res = _check_search_matches_reference(_variables(entry.poly), route, group,
+                                              entry.group_order)
+        for e in res.rows[:1]:
+            _check_search_matches_reference(_power_sums(entry.poly, e), route, group,
+                                            entry.group_order)
 
 
 # ------------------------------------------------------- brute force
@@ -202,9 +200,9 @@ def _in_lattice(v, b_rows, m):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_pruning_keeps_every_short_vector(data):
-    # p^k <= 125, s <= 3: the ladder, climbed in one rung or one rung per
-    # power of p, keeps an LLL-reduced basis of a sublattice of L_k that
-    # holds every v in L_k with ||v||^2 <= T
+    # p^k <= 125, s <= 3: the ladder's rungs, climbed as one rung or one
+    # rung per power of p, keep an LLL-reduced basis of a sublattice of L_k
+    # that holds every v in L_k with ||v||^2 <= T
     s = data.draw(st.integers(1, 3), label="s")
     p, k = data.draw(st.sampled_from([(p, k) for p in (2, 3, 5, 7, 11)
                                       for k in range(1, 8) if p**k <= 125]),
@@ -215,10 +213,11 @@ def test_pruning_keeps_every_short_vector(data):
                                          max_size=f_p), min_size=s, max_size=s),
                        label="B")
     threshold_sq = data.draw(st.integers(1, 60), label="T")
-    rung_bits = data.draw(st.sampled_from([rel.RUNG_BITS, 1]), label="rung bits")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rel, "RUNG_BITS", rung_bits)
-        basis = rel._climb(b_rows, p, k, threshold_sq)
+    step = data.draw(st.sampled_from([k, 1]), label="rung length")
+    basis = tuple(tuple(int(i == j) for j in range(s)) for i in range(s))
+    for k_from in range(0, k, step):
+        if basis:
+            basis = rel._rung(basis, b_rows, p, k_from, min(k_from + step, k), threshold_sq)
     assert all(_in_lattice(row, b_rows, m) for row in basis)
     assert lattice.is_lll_reduced(basis)
     kept = lattice.hnf(basis)

@@ -254,37 +254,51 @@ def test_routes_agree_under_the_frobenius_group(coeffs):
     assert lattice.hnf(a.rows) == lattice.hnf(b.rows), f
 
 
-def test_each_row_is_zero_tested_once_per_search(monkeypatch):
-    # the permutation route's escalation rounds meet the same rows again;
-    # the proven zero test runs once per row and search, and its answers do
-    # not outlive the search
+def test_a_search_runs_no_zero_test(monkeypatch):
+    # each row's certificate is read off the ladder (e in L_k and k at
+    # least the zero test's precision), so no search calls zero_test;
+    # every row returned passes it
     calls = []
-    real = rel._is_proven_relation
-
-    def counting(e, *args):
-        calls.append(tuple(e))
-        return real(e, *args)
-
-    monkeypatch.setattr(rel, "_is_proven_relation", counting)
-    repeated = 0
+    real = rel.zero_test
+    monkeypatch.setattr(rel, "zero_test", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    results = []
     for entry in corpus.CORPUS:
         ts = variables(entry.poly)
         p = corpus.prime_for(entry)
         for mode in ("proven", "heuristic"):
-            for search in (
-                lambda: rel.find_relations_lll(ts, mode=mode, prime=p,
-                                               group_order=entry.group_order),
-                lambda: rel.find_relations_galois(ts, corpus.group_for(entry), mode=mode,
-                                                  prime=p, group_order=entry.group_order),
-            ):
-                calls.clear()
-                search()
-                assert len(calls) == len(set(calls)), entry.label
-                first = len(calls)
-                search()
-                repeated += first
-                assert len(calls) == 2 * first, entry.label
-    assert repeated > 0
+            results.append((entry, ts, rel.find_relations_lll(
+                ts, mode=mode, prime=p, group_order=entry.group_order)))
+            results.append((entry, ts, rel.find_relations_galois(
+                ts, corpus.group_for(entry), mode=mode, prime=p,
+                group_order=entry.group_order)))
+    assert calls == []
+    monkeypatch.undo()
+    for entry, ts, res in results:
+        for e in res.rows:
+            assert rel.is_zero(corpus.combination(ts, e), ts.f, prime=res.bounds.p,
+                               group_order=entry.group_order), (entry.label, e)
+
+
+def test_the_row_check_catches_a_rung_that_keeps_a_non_relation(monkeypatch):
+    # with a rung that keeps every unit vector, each row would pass the
+    # precision bound k_e <= k alone; the check against B raises
+    monkeypatch.setattr(rel, "_rung", lambda basis, *args: basis)
+    with pytest.raises(RuntimeError, match="not a relation"):
+        rel.find_relations_lll(variables((-2, 0, 1)))
+
+
+def test_a_group_larger_than_the_galois_group_loses_no_relation():
+    # x^4 - 10x^2 + 1 has roots +-sqrt2 +-sqrt3 and Galois group V4; with a
+    # caller's S4 the permutation route once returned ((1, 1, 1, 1),)
+    # "proven", missing the relations a_i + a_j = 0
+    f = (1, 0, -10, 0, 1)
+    s4 = galois.PermGroup.from_images(4, [[2, 3, 4, 1], [2, 1, 3, 4]])
+    res = rel.find_relations_galois(variables(f), s4)
+    assert res.certification == "proven"
+    assert lattice.hnf(res.rows) == ((1, 0, 0, 1), (0, 1, 1, 0))
+    ctx = padic.root_context(f, prefer="max")
+    assert lattice.hnf(res.rows) == lattice.hnf(
+        rel.find_relations_lll(variables(f), prime=ctx.p).rows)
 
 
 def test_soundness_and_completeness_sampling():
@@ -294,14 +308,14 @@ def test_soundness_and_completeness_sampling():
         basis = rel.find_relations_lll(ts, group_order=entry.group_order)
         # every basis row really is a relation
         for e in basis.rows:
-            assert rel.is_zero(rel._combination(ts, e), ts.f,
+            assert rel.is_zero(corpus.combination(ts, e), ts.f,
                                group_order=entry.group_order)
         # sampled vectors vanish iff they lie in the lattice
         n = len(entry.poly) - 1
         for _ in range(25):
             e = tuple(rng.randint(-10, 10) for _ in range(n))
             expected = in_lattice(basis.rows, e)
-            got = rel.is_zero(rel._combination(ts, e), ts.f,
+            got = rel.is_zero(corpus.combination(ts, e), ts.f,
                               group_order=entry.group_order)
             assert got == expected, (entry.label, e)
 
