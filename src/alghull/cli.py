@@ -21,7 +21,7 @@ import click
 
 from . import galois as galois_mod
 from . import hull as hull_mod
-from . import lattice, matrices, padic
+from . import lattice, matrices
 from . import relations as rel
 
 
@@ -95,10 +95,6 @@ def _settings(data, mode, prime, seed):
         prime = None
     seed = seed if seed is not None else data.get("seed", 0)
     return mode, prime, seed
-
-
-class InputError(click.ClickException):
-    exit_code = 2
 
 
 def _run(fn):
@@ -315,9 +311,12 @@ def cmd_bench(corpus, mode, seed, out, plot_data):
     """Run both relation routes over a corpus file and report timings.
 
     The corpus is a JSON list of entries {label, poly, group_order,
-    group_kind, expected_dim}.  Route A is the LLL construction, route B
-    the permutation-action one.  Per-entry failures are reported and do
-    not stop the run.
+    expected_dim} with an optional "group": 1-indexed one-line images of
+    permutation generators.  Route A is the LLL construction, route B the
+    permutation route, which validates the entry's generators (none when
+    "group" is absent); other keys are ignored.  Per-entry failures, a
+    generator that fails validation among them, are reported and do not
+    stop the run.
     """
     entries = _read_json(corpus)
     buf = io.StringIO()
@@ -337,13 +336,11 @@ def cmd_bench(corpus, mode, seed, out, plot_data):
                     res = hull_mod.hull_matrix(
                         x, mode=mode, route="lll", group_order=go, seed=seed)
                 else:
-                    ctx = padic.root_context(f, prefer="max", seed=seed)
-                    group = galois_mod.group_of_kind(
-                        entry.get("group_kind", "frobenius"), ctx,
-                        entry.get("exponents"), entry.get("group"))
+                    group = galois_mod.PermGroup.from_images(
+                        len(f) - 1, entry.get("group", []))
                     res = hull_mod.hull_matrix(
                         x, mode=mode, route="galois", group=group,
-                        prime=ctx.p, group_order=go, seed=seed)
+                        group_order=go, seed=seed)
                 elapsed = time.perf_counter() - t0
                 expected = entry.get("expected_dim")
                 ok = expected is None or res.dim == expected

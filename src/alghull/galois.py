@@ -7,20 +7,11 @@ Permutations are 0-indexed tuples of images: sigma maps i to sigma[i].
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import linalg, matrices, padic
-
-
-def _frobenius(roots) -> tuple[int, ...]:
-    """The Frobenius permutation of labeled roots: those of a RootContext,
-    which computes it once, or ApproxRoots."""
-    if isinstance(roots, padic.RootContext):
-        return roots.frobenius
-    return padic.frobenius_perm(roots)
 
 
 def identity_perm(n: int) -> tuple[int, ...]:
@@ -56,19 +47,16 @@ class PermGroup:
 
     MAX_ENUMERATED = 20000
 
-    def __init__(self, degree: int, generators: Sequence[Sequence[int]],
-                 provenance: str = "user-supplied"):
+    def __init__(self, degree: int, generators: Sequence[Sequence[int]]):
         self.degree = degree
         self.generators = tuple(_check_perm(g, degree) for g in generators)
-        self.provenance = provenance
         self._elements: tuple | None = None
 
     @classmethod
-    def frobenius(cls, roots) -> "PermGroup":
+    def frobenius(cls, ctx: padic.RootContext) -> "PermGroup":
         """Cyclic group generated by the Frobenius permutation of the
-        labeled roots (a RootContext or ApproxRoots, see _frobenius)."""
-        frob = _frobenius(roots)
-        return cls(len(frob), [frob], provenance="frobenius")
+        context's labeled roots."""
+        return cls(len(ctx.frobenius), [ctx.frobenius])
 
     @classmethod
     def from_images(cls, degree: int, images) -> "PermGroup":
@@ -152,9 +140,9 @@ def grow_subset(s: Subset, group: PermGroup, seed: int = 0) -> Subset:
     return Subset(list(s.perms) + added)
 
 
-def validate_action(sigma: Sequence[int], roots) -> bool:
+def validate_action(sigma: Sequence[int], ctx: padic.RootContext) -> bool:
     """Necessary Galois-consistency check for a permutation of the labeled
-    roots (a RootContext or ApproxRoots, see _frobenius).
+    roots of a context.
 
     A genuine Galois element commutes with Frobenius on root labels and
     therefore preserves Frobenius orbits setwise up to relabeling; in
@@ -163,7 +151,7 @@ def validate_action(sigma: Sequence[int], roots) -> bool:
     what is checked here; it is a necessary condition, not a full
     sufficiency proof.
     """
-    frob = _frobenius(roots)
+    frob = ctx.frobenius
     n = len(frob)
     sigma = _check_perm(sigma, n)
     # orbit length of each index under Frobenius
@@ -177,178 +165,6 @@ def validate_action(sigma: Sequence[int], roots) -> bool:
                 break
         lengths[i] = l
     return all(lengths[sigma[i]] == lengths[i] for i in range(n))
-
-
-def negation_perm(roots: "padic.ApproxRoots"):
-    """Permutation pairing each root with its negative, or None.
-
-    When the root set of an (even) polynomial is closed under negation,
-    the pairing is induced by a field automorphism and is safe to feed to
-    the permutation-based relation search.  Matching is done at the
-    roots' stored precision, so use a comfortably large one.
-    """
-    rs = list(roots.roots)
-    images = []
-    for a in rs:
-        j = next((idx for idx, b in enumerate(rs) if (a + b).is_zero()), None)
-        if j is None:
-            return None
-        images.append(j)
-    perm = tuple(images)
-    return perm if sorted(perm) == list(range(len(rs))) else None
-
-
-def power_perm(roots: "padic.ApproxRoots", u: int):
-    """Permutation sending each root to its u-th power, or None.
-
-    Exists for roots of unity (and scaled variants) where x -> x^u is a
-    field automorphism permuting the roots; matched at stored precision.
-    """
-    rs = list(roots.roots)
-    images = []
-    for a in rs:
-        val = a ** u
-        j = next((idx for idx, b in enumerate(rs) if (val - b).is_zero()), None)
-        if j is None:
-            return None
-        images.append(j)
-    perm = tuple(images)
-    return perm if sorted(perm) == list(range(len(rs))) else None
-
-
-def pairing_group(roots: "padic.ApproxRoots"):
-    """Signed permutations of the root pairs of an even polynomial, or
-    None when the roots are not closed under negation.
-
-    Generated by the transpositions swapping each root with its negative
-    together with the swaps exchanging whole pairs.  Safe for the
-    relation search whenever the relation lattice is spanned by the pair
-    sums (the even irreducible quartic case): every generator then maps
-    pair sums to pair sums, so no genuine relation is lost, while the
-    pair swaps contribute the cross-pair constraints that the sign flips
-    alone cannot see.
-    """
-    neg = negation_perm(roots)
-    if neg is None:
-        return None
-    n = len(roots.roots)
-    pairs = [(i, neg[i]) for i in range(n) if neg[i] > i]
-    gens = []
-    for i, j in pairs:
-        t = list(range(n))
-        t[i], t[j] = j, i
-        gens.append(tuple(t))
-    for (a1, a2), (b1, b2) in zip(pairs, pairs[1:]):
-        t = list(range(n))
-        t[a1], t[b1] = b1, a1
-        t[a2], t[b2] = b2, a2
-        gens.append(tuple(t))
-    return PermGroup(n, gens, provenance="user-supplied")
-
-
-def radical_group(roots: "padic.ApproxRoots"):
-    """Dihedral Galois action for f = x^n - a (a != 0), or None.
-
-    The roots are r, r z, ..., r z^(n-1) for a primitive n-th root of
-    unity z; labels are indexed by matching the unit ratios a_i / a_0
-    against powers of z at the residue level (distinct since f is
-    squarefree mod p).  Generators: the rotation index -> index + 1
-    (a Kummer automorphism over Q(z)) and the multipliers index -> u*index
-    for u coprime to n (z -> z^u fixing a real radical root; genuine
-    because the degrees of Q(root) and Q(z) are coprime or the root is
-    real, so the cyclotomic action lifts).  The result contains the
-    Galois group of x^n - a.
-    """
-    rs = list(roots.roots)
-    n = len(rs)
-    if n < 2:
-        return None
-    base = rs[0]
-    try:
-        inv = base.inverse()
-    except ZeroDivisionError:
-        return None
-    ratios = [r * inv for r in rs]
-    # find a ratio of multiplicative order exactly n
-    zeta = None
-    for cand in ratios:
-        powers = [cand]
-        for _ in range(n - 1):
-            powers.append(powers[-1] * cand)
-        if (powers[n - 1] - 1).is_zero() and all(
-            not (powers[m] - 1).is_zero() for m in range(n - 1)
-        ):
-            zeta = cand
-            zpowers = [roots.ring.one()] + powers[:-1]
-            break
-    if zeta is None:
-        return None
-    index = {}
-    for i, rho in enumerate(ratios):
-        j = next((j for j, zp in enumerate(zpowers) if (rho - zp).is_zero()), None)
-        if j is None:
-            return None
-        index[i] = j
-    label_of = {j: i for i, j in index.items()}
-    if len(label_of) != n:
-        return None
-    gens = [tuple(label_of[(index[i] + 1) % n] for i in range(n))]
-    for u in range(2, n):
-        if math.gcd(u, n) == 1:
-            gens.append(tuple(label_of[(u * index[i]) % n] for i in range(n)))
-    if n > 1:
-        gens.append(tuple(label_of[(-index[i]) % n] for i in range(n)))
-    return PermGroup(n, gens, provenance="user-supplied")
-
-
-def power_group(roots: "padic.ApproxRoots", exponents) -> "PermGroup | None":
-    """Group generated by the maps x -> x^u for the given exponents.
-
-    Genuine Galois elements when the roots are roots of unity; returns
-    None if any exponent fails to permute the roots.
-    """
-    gens = []
-    for u in exponents:
-        g = power_perm(roots, u)
-        if g is None:
-            return None
-        gens.append(g)
-    return PermGroup(len(roots.roots), gens, provenance="user-supplied")
-
-
-# Precision at which group_of_kind matches the roots of a RootContext.
-GROUP_PRECISION = 8
-
-
-def group_of_kind(kind: str, roots, exponents=None, images=None) -> PermGroup:
-    """The permutation group of the named kind on labeled roots:
-    "frobenius", "radical", "pairing", "power" (the maps x -> x^u for the
-    given exponents) or "explicit" (generated by 1-indexed one-line
-    images).  roots is ApproxRoots or a RootContext; a context gives its
-    Frobenius permutation, and its roots at GROUP_PRECISION to the other
-    kinds.  Raises ValueError for an unknown kind, a missing argument of
-    its kind, or when the roots do not admit the construction."""
-    if kind == "frobenius":
-        g = PermGroup.frobenius(roots)
-    elif isinstance(roots, padic.RootContext):
-        return group_of_kind(kind, roots.roots(GROUP_PRECISION), exponents, images)
-    elif kind == "radical":
-        g = radical_group(roots)
-    elif kind == "pairing":
-        g = pairing_group(roots)
-    elif kind == "power":
-        if exponents is None:
-            raise ValueError("a power group needs exponents")
-        g = power_group(roots, exponents)
-    elif kind == "explicit":
-        if images is None:
-            raise ValueError("an explicit group needs images")
-        g = PermGroup.from_images(len(roots.roots), images)
-    else:
-        raise ValueError(f"unknown group kind {kind!r}")
-    if g is None:
-        raise ValueError(f"could not build a {kind} group on these roots")
-    return g
 
 
 # ------------------------------------------------- closed-form helpers

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import galois as galois_mod
-from . import linalg, matrices, padic
+from . import linalg, matrices
 from . import polynomials as pol
 from . import relations as rel
 
@@ -45,12 +45,11 @@ def _check_options(mode, route):
 
 def _relation_basis(targets, route, group, mode, config):
     """Relation search on either route; config holds prime, seed and
-    group_order."""
+    group_order.  With no group the permutation route has no generator to
+    validate."""
     if route == "galois":
         if group is None:
-            ctx = padic.root_context(targets.f, config["prime"], prefer="max",
-                                     seed=config["seed"])
-            group = galois_mod.PermGroup.frobenius(ctx)
+            group = galois_mod.PermGroup(len(targets.f) - 1, [])
         return rel.find_relations_galois(targets, group, mode=mode, **config)
     return rel.find_relations_lll(targets, mode=mode, **config)
 

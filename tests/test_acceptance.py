@@ -349,14 +349,9 @@ def test_criterion_11_heuristic_equals_proven():
 def test_criterion_12_bench_corpus_and_trend(tmp_path):
     """cmd_bench finishes the corpus in under 10 minutes, emits
     well-formed CSV, and shows cost growing with group order."""
-    entries = []
-    for e in corpus.CORPUS:
-        item = {"label": e.label, "poly": list(e.poly),
-                "group_order": e.group_order, "group_kind": e.group_kind,
-                "expected_dim": e.expected_dim}
-        if e.exponents:
-            item["exponents"] = list(e.exponents)
-        entries.append(item)
+    entries = [{"label": e.label, "poly": list(e.poly),
+                "group_order": e.group_order, "expected_dim": e.expected_dim}
+               for e in corpus.CORPUS]
     src = tmp_path / "corpus.json"
     src.write_text(json.dumps(entries))
     plot = tmp_path / "plot.dat"

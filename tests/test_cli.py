@@ -2,11 +2,12 @@
 the bench CSV format.
 """
 
+import csv
 import json
 
 from click.testing import CliRunner
 
-from alghull import lattice
+from alghull import lattice, padic
 from alghull.cli import main
 
 runner = CliRunner()
@@ -278,12 +279,19 @@ def test_out_option(tmp_path):
     assert json.loads(dest.read_text())["dim"] == 1
 
 
+def _bench_rows(tmp_path, entries):
+    src = tmp_path / "corpus.json"
+    src.write_text(json.dumps(entries))
+    result = _invoke(["bench", str(src)])
+    assert result.exit_code == 0
+    return list(csv.reader(result.stdout.splitlines()))[1:]
+
+
 def test_bench_command(tmp_path):
     entries = [
-        {"label": "x^2-2", "poly": [-2, 0, 1], "group_order": 2,
-         "group_kind": "frobenius", "expected_dim": 1},
+        {"label": "x^2-2", "poly": [-2, 0, 1], "group_order": 2, "expected_dim": 1},
         {"label": "x^4-2", "poly": [-2, 0, 0, 0, 1], "group_order": 8,
-         "group_kind": "radical", "expected_dim": 2},
+         "expected_dim": 2},
     ]
     src = tmp_path / "corpus.json"
     src.write_text(json.dumps(entries))
@@ -303,11 +311,52 @@ def test_bench_command(tmp_path):
     assert len(plot_lines) == 5
 
 
+def test_bench_route_b_takes_explicit_group_images(tmp_path):
+    rows = _bench_rows(tmp_path, [
+        {"label": "x^4-2", "poly": [-2, 0, 0, 0, 1], "group_order": 8,
+         "expected_dim": 2, "group": [[2, 3, 4, 1], [4, 3, 2, 1]]},
+    ])
+    assert [(r[1], r[7], r[8]) for r in rows] == [("A", "2", "yes"), ("B", "2", "yes")]
+
+
+def test_bench_reports_a_generator_that_fails_validation_and_goes_on(tmp_path):
+    # x^3 - 2 is irreducible mod 7, the prime of largest residue degree, so
+    # every permutation passes there; (x - 1)(x^2 - 2) has one rational
+    # root and a 2-orbit under Frobenius at its prime of largest degree
+    f = [2, -2, -1, 1]
+    frob = padic.root_context(tuple(f), prefer="max").frobenius
+    fixed = next(i for i in range(3) if frob[i] == i)
+    moved = next(i for i in range(3) if frob[i] != i)
+    swap = list(range(1, 4))
+    swap[fixed], swap[moved] = moved + 1, fixed + 1
+    rows = _bench_rows(tmp_path, [
+        {"label": "bad-group", "poly": f, "group": [swap]},
+        {"label": "x^2-2", "poly": [-2, 0, 1], "group_order": 2, "expected_dim": 1},
+    ])
+    assert [r[:2] for r in rows] == [["bad-group", "A"], ["bad-group", "-"],
+                                     ["x^2-2", "A"], ["x^2-2", "B"]]
+    assert rows[1][8].startswith("error:") and "root-action check" in rows[1][8]
+    assert [r[8] for r in rows[2:]] == ["yes", "yes"]
+
+
+def test_bench_ignores_the_retired_group_keys(tmp_path):
+    # corpus files written for named group constructors still run: route B
+    # validates no generator, and its hull is the same
+    rows = _bench_rows(tmp_path, [
+        {"label": "x^4-2", "poly": [-2, 0, 0, 0, 1], "group_order": 8,
+         "group_kind": "radical", "expected_dim": 2},
+        {"label": "x^4+1", "poly": [1, 0, 0, 0, 1], "group_order": 4,
+         "group_kind": "power", "exponents": [3, 5, 7], "expected_dim": 2},
+    ])
+    assert [(r[0], r[1], r[7], r[8]) for r in rows] == [
+        ("x^4-2", "A", "2", "yes"), ("x^4-2", "B", "2", "yes"),
+        ("x^4+1", "A", "2", "yes"), ("x^4+1", "B", "2", "yes")]
+
+
 def test_bench_isolates_bad_entries(tmp_path):
     entries = [
-        {"label": "bad", "poly": [1, 2], "group_kind": "frobenius"},
-        {"label": "x^2-2", "poly": [-2, 0, 1], "group_order": 2,
-         "group_kind": "frobenius", "expected_dim": 1},
+        {"label": "bad", "poly": [1, 2]},
+        {"label": "x^2-2", "poly": [-2, 0, 1], "group_order": 2, "expected_dim": 1},
     ]
     src = tmp_path / "corpus.json"
     src.write_text(json.dumps(entries))

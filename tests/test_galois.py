@@ -1,6 +1,6 @@
 """Permutation groups acting on labeled p-adic roots, the action
-validator, the group constructors, the trace-zero subspace, and the
-trace-criterion oracle of the tests.
+validator, the trace-zero subspace, and the trace-criterion oracle of
+the tests.
 """
 
 import pytest
@@ -10,7 +10,6 @@ from alghull import galois, matrices, padic
 
 F_QUAD = (-2, 0, 1)
 F_QUARTIC_RAD = (-2, 0, 0, 0, 1)  # x^4 - 2
-F_QUARTIC_CYC = (1, 0, 0, 0, 1)  # x^8/... roots are primitive 8th roots
 F_CUBIC = (-2, 0, 0, 1)  # x^3 - 2
 
 
@@ -32,8 +31,7 @@ def test_perm_group_order_and_membership():
 
 
 def test_frobenius_group():
-    roots = padic.cached_roots(F_QUAD, 3, 2, 8, 0)
-    g = galois.PermGroup.frobenius(roots)
+    g = galois.PermGroup.frobenius(padic.root_context(F_QUAD, prime=3))
     assert g.order == 2
     assert g.generators[0] == (1, 0)
 
@@ -58,9 +56,9 @@ def test_subset_growth_exhausts_trivial_group():
 def test_validate_action():
     # mixed factor degrees: x^3 - 2 mod 5 = (x - 3)(deg-2 factor)
     assert padic.factor_degrees(F_CUBIC, 5) == (1, 2)
-    roots = padic.cached_roots(F_CUBIC, 5, 2, 8, 0)
-    frob = padic.frobenius_perm(roots)
-    assert galois.validate_action(frob, roots)
+    ctx = padic.root_context(F_CUBIC, prime=5)
+    frob = padic.frobenius_perm(ctx.roots(8))
+    assert galois.validate_action(frob, ctx)
     # a permutation moving the rational root into a 2-orbit must fail
     lengths = {}
     for i in range(3):
@@ -75,63 +73,7 @@ def test_validate_action():
     moved = next(i for i, l in lengths.items() if l == 2)
     bad = list(range(3))
     bad[fixed], bad[moved] = moved, fixed
-    assert not galois.validate_action(tuple(bad), roots)
-
-
-def test_negation_and_pairing_group():
-    roots = padic.cached_roots(F_QUARTIC_RAD, 5, 4, 8, 0)
-    neg = galois.negation_perm(roots)
-    assert neg is not None
-    assert all(neg[neg[i]] == i and neg[i] != i for i in range(4))
-    g = galois.pairing_group(roots)
-    # two sign flips and one pair swap generate a group of order 8
-    assert g.order == 8
-    # no pairing for a polynomial whose roots are not closed under negation
-    golden = padic.cached_roots((-1, -1, 1), 3, 2, 8, 0)
-    assert galois.negation_perm(golden) is None
-    assert galois.pairing_group(golden) is None
-
-
-def test_radical_group():
-    roots = padic.cached_roots(F_QUARTIC_RAD, 5, 4, 8, 0)
-    g = galois.radical_group(roots)
-    assert g is not None
-    assert g.order == 8  # rotation of order 4 plus the inversion
-    for gen in g.generators:
-        assert galois.validate_action(gen, roots)
-    sel = padic.select_prime((-2, 0, 0, 0, 0, 1), prefer="max")
-    quintic = padic.cached_roots((-2, 0, 0, 0, 0, 1), sel.p, sel.f_p, 30, 0)
-    g5 = galois.radical_group(quintic)
-    assert g5 is not None
-    assert g5.order == 20  # full metacyclic group for x^5 - 2
-
-
-def test_power_group():
-    roots = padic.cached_roots(F_QUARTIC_CYC, 3, 2, 8, 0)  # primitive 8th roots
-    g = galois.power_group(roots, (3, 5, 7))
-    assert g is not None
-    assert g.order == 4  # (Z/8)^x
-    assert galois.power_group(roots, (2,)) is None  # squaring kills 8th roots
-    # x -> x^3 maps each root to another root of x^4 + 1
-    p3 = galois.power_perm(roots, 3)
-    assert sorted(p3) == [0, 1, 2, 3]
-
-
-def test_group_of_kind():
-    rad = padic.cached_roots(F_QUARTIC_RAD, 5, 4, 8, 0)
-    cyc = padic.cached_roots(F_QUARTIC_CYC, 3, 2, 8, 0)
-    assert galois.group_of_kind("frobenius", rad).generators == \
-        galois.PermGroup.frobenius(rad).generators
-    assert galois.group_of_kind("radical", rad).order == 8
-    assert galois.group_of_kind("pairing", rad).order == 8
-    assert galois.group_of_kind("power", cyc, (3, 5, 7)).order == 4
-    explicit = galois.group_of_kind("explicit", rad, images=[[2, 3, 4, 1]])
-    assert explicit.generators == ((1, 2, 3, 0),) and explicit.order == 4
-    for kind, args in (("sporadic", ()), ("power", ()), ("explicit", ()),
-                       ("power", ((2,),)), ("pairing", ())):
-        roots = padic.cached_roots((-1, -1, 1), 3, 2, 8, 0) if kind == "pairing" else cyc
-        with pytest.raises(ValueError):
-            galois.group_of_kind(kind, roots, *args)
+    assert not galois.validate_action(tuple(bad), ctx)
 
 
 def test_trace_zero_subspace():

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import corpus
@@ -144,7 +144,7 @@ def test_hull_semisimple_rejects_a_non_semisimple_matrix_before_any_search(monke
 
     monkeypatch.setattr(hull.rel, "find_relations_lll", no_work)
     monkeypatch.setattr(hull.rel, "find_relations_galois", no_work)
-    monkeypatch.setattr(hull.padic, "root_context", no_work)
+    monkeypatch.setattr(hull.rel.padic, "root_context", no_work)
     for x in ([[1, 1], [0, 1]], [[2, 1, 0], [0, 2, 0], [0, 0, 3]]):
         for route in ("lll", "galois"):
             with pytest.raises(ValueError, match="^matrix is not semisimple; use "
@@ -350,6 +350,20 @@ def test_closed_form_deg4_cases():
         oh = hull.closed_form_deg4(f, assert_group=True)
         assert oh.kind == "span" and len(oh.gammas) == 3
         assert oh.gammas[2][3] == Fraction(4, 6)
+
+
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(st.integers(-6, 6), st.integers(-6, 6), st.integers(-2, 2))
+def test_closed_form_deg4_matches_the_hull_of_shifted_even_quartics(b, d, c):
+    # f = x^4 + b x^2 + d is even, so its Galois group lies in D4 (never S4
+    # or A4), and so does that of g(x) = f(x + c); g has a = 4c and
+    # a^3 - 4ab + 8c = 0, the two D = 0 cases of the closed form
+    g = (c**4 + b * c**2 + d, 4 * c**3 + 2 * b * c, 6 * c**2 + b, 4 * c, 1)
+    assume(galois._is_irreducible_over_q(g))
+    x = companion(g)
+    oracle = hull.closed_form_deg4(g, assert_group=True).materialize(x)
+    assert hull.hull_semisimple(x, group_order=8).span == oracle, g
 
 
 def test_closed_form_requires_assertion_and_irreducibility():

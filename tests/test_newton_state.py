@@ -103,26 +103,24 @@ def test_frobenius_power_runs_once_per_context_across_a_hull(monkeypatch, cold_c
     monkeypatch.setattr(padic.PadicElement, "__pow__", counting_power)
     monkeypatch.setattr(galois, "validate_action", counting_validate)
     f = (-2, 0, 0, 0, 1)  # x^4 - 2: one stage-1 and two stage-2 searches
-    res = hull.hull_matrix(matrices.companion(f), route="galois", group_order=8)
+    x = matrices.companion(f)
+    # with no group there is no generator to validate, nor any Frobenius
+    res = hull.hull_matrix(x, route="galois", group_order=8)
     assert res.dim == 2
     assert len(res.witnesses["lambda_basis"]) == 2
+    assert checks == [] and perms == [] and powers == []
+    ctx = padic.root_context(f, prefer="max")
+    res = hull.hull_matrix(x, route="galois", group=galois.PermGroup.frobenius(ctx),
+                           group_order=8)
+    assert res.dim == 2
     assert len(checks) == 3  # one Frobenius generator checked per search
     assert len(perms) == 1
     assert len(powers) == len(f) - 1  # one residue-field power per root
-    ctx = padic.root_context(f, prefer="max")
     assert ctx.frobenius == frobenius_perm(ctx.roots(1))
 
 
 def test_a_context_gives_the_groups_of_its_roots(cold_contexts):
     for f in [(-2, 0, 0, 1), (1, 0, 0, 0, 1), (1, 3, -3, -4, 1, 1)]:
         ctx = padic.root_context(f, prefer="max")
-        roots = ctx.roots(galois.GROUP_PRECISION)
-        assert ctx.frobenius == padic.frobenius_perm(roots)
-        assert galois.group_of_kind("frobenius", ctx).generators == \
-            galois.PermGroup.frobenius(roots).generators
-    # x^4 + 1: the kinds that match roots read them at GROUP_PRECISION
-    ctx = padic.root_context((1, 0, 0, 0, 1), prefer="max")
-    assert galois.group_of_kind("power", ctx, (3, 5, 7)).generators == \
-        galois.group_of_kind("power", ctx.roots(galois.GROUP_PRECISION), (3, 5, 7)).generators
-    with pytest.raises(ValueError):  # x^3 - 2: roots not closed under negation
-        galois.group_of_kind("pairing", padic.root_context((-2, 0, 0, 1), prefer="max"))
+        assert ctx.frobenius == padic.frobenius_perm(ctx.roots(8))
+        assert galois.PermGroup.frobenius(ctx).generators == (ctx.frobenius,)

@@ -247,7 +247,7 @@ def test_routes_agree_under_the_frobenius_group(coeffs):
     f = tuple(coeffs) + (1,)
     assume(pol.degree(pol.squarefree_part(f)) == len(coeffs))
     ctx = padic.root_context(f, prefer="max")
-    frob = galois.PermGroup.frobenius(ctx.roots(4))
+    frob = galois.PermGroup.frobenius(ctx)
     ts = variables(f)
     a = rel.find_relations_lll(ts, prime=ctx.p)
     b = rel.find_relations_galois(ts, frob, prime=ctx.p)
@@ -370,17 +370,17 @@ def test_frobenius_only_group_is_enough():
     """For x^4 - 2 at p = 5 the 4th roots of unity live in Z_p, so a
     spurious p-adic relation is invariant under the whole decomposition
     group; rational reconstruction could not tell it apart.  The ladder
-    prunes it by length, so the Frobenius group alone gives the radical
-    group's lattice."""
+    prunes it by length, so the Frobenius group alone gives the LLL
+    route's lattice at the same prime."""
     from alghull import galois, padic
     f = (-2, 0, 0, 0, 1)
-    roots = padic.cached_roots(f, 5, 4, 8, 0)
-    frob = rel.find_relations_galois(variables(f), galois.PermGroup.frobenius(roots),
+    ctx = padic.root_context(f, prime=5)
+    assert ctx.f_p == 4
+    frob = rel.find_relations_galois(variables(f), galois.PermGroup.frobenius(ctx),
                                      prime=5, group_order=8)
-    full = rel.find_relations_galois(variables(f), galois.radical_group(roots),
-                                     prime=5, group_order=8)
+    lll = rel.find_relations_lll(variables(f), prime=5, group_order=8)
     assert frob.rank == 2
-    assert lattice.hnf(frob.rows) == lattice.hnf(full.rows)
+    assert lattice.hnf(frob.rows) == lattice.hnf(lll.rows)
 
 
 def test_unknown_mode_rejected_before_any_work(monkeypatch):
