@@ -4,7 +4,9 @@ Conventions: polynomials are coefficient lists with the constant term
 first; rationals are serialized as decimal strings like "-3/4"; sparse
 targets are term lists [[coeff, [e1, ..., en]], ...]; permutations are
 1-indexed one-line images.  Exit codes: 0 success, 2 input error
-(including a --group generator that fails the root-action check).
+(including a --group generator that is not a permutation of the roots).
+A --group is shape-checked only: it selects the permutation route and
+adds no constraint to the relations.
 """
 
 from __future__ import annotations
@@ -313,10 +315,10 @@ def cmd_bench(corpus, mode, seed, out, plot_data):
     The corpus is a JSON list of entries {label, poly, group_order,
     expected_dim} with an optional "group": 1-indexed one-line images of
     permutation generators.  Route A is the LLL construction, route B the
-    permutation route, which validates the entry's generators (none when
-    "group" is absent); other keys are ignored.  Per-entry failures, a
-    generator that fails validation among them, are reported and do not
-    stop the run.
+    permutation route, which shape-checks the entry's generators (none
+    when "group" is absent); other keys are ignored.  Per-entry failures,
+    a generator that is not a permutation among them, are reported and do
+    not stop the run.
     """
     entries = _read_json(corpus)
     buf = io.StringIO()

@@ -1,6 +1,6 @@
-"""Permutation actions on labeled p-adic roots, with validation, plus the
-two helpers the closed-form hulls use: the irreducibility test over Q and
-the trace-zero part of a span.
+"""Permutation groups of labeled p-adic roots, plus the two helpers the
+closed-form hulls use: the irreducibility test over Q and the trace-zero
+part of a span.
 
 Permutations are 0-indexed tuples of images: sigma maps i to sigma[i].
 """
@@ -141,15 +141,14 @@ def grow_subset(s: Subset, group: PermGroup, seed: int = 0) -> Subset:
 
 
 def validate_action(sigma: Sequence[int], ctx: padic.RootContext) -> bool:
-    """Necessary Galois-consistency check for a permutation of the labeled
-    roots of a context.
+    """Whether sigma maps each labeled root of the context to a root in a
+    Frobenius orbit of the same length.
 
-    A genuine Galois element commutes with Frobenius on root labels and
-    therefore preserves Frobenius orbits setwise up to relabeling; in
-    particular it must map each root to one lying in a mod-p factor of
-    the same degree.  That factor-degree (orbit-length) preservation is
-    what is checked here; it is a necessary condition, not a full
-    sufficiency proof.
+    This checks orbit-length preservation only and is not a test of
+    Galois membership: a Galois element sigma maps the orbits of
+    Frobenius F to those of sigma F sigma^-1, not of F, so genuine Galois
+    elements can fail it (x^4 + 8x + 12, group A4, at p = 5).  The
+    relation search does not call it; perfbench's tracer still names it.
     """
     frob = ctx.frobenius
     n = len(frob)

@@ -86,15 +86,25 @@ def gf_inverse(a, modulus, p):
     return gf_mod(gf_normalize([x * c for x in t0], p), modulus, p)
 
 
-def gf_powmod(f, e: int, mod, p):
-    result = (1,)
-    base = gf_mod(f, mod, p)
-    while e:
+def power(base, e: int, mul):
+    """base^e for e >= 1 under an associative product mul, by
+    square-and-multiply with no product by one and no squaring past the
+    top bit of e.  The one such loop: gf_powmod, padic._powmod and
+    PadicElement.__pow__ run on it."""
+    result = None
+    while True:
         if e & 1:
-            result = gf_mod(gf_mul(result, base, p), mod, p)
-        base = gf_mod(gf_mul(base, base, p), mod, p)
+            result = base if result is None else mul(result, base)
         e >>= 1
-    return result
+        if not e:
+            return result
+        base = mul(base, base)
+
+
+def gf_powmod(f, e: int, mod, p):
+    if not e:
+        return (1,)
+    return power(gf_mod(f, mod, p), e, lambda a, b: gf_mod(gf_mul(a, b, p), mod, p))
 
 
 def gf_is_squarefree(f, p) -> bool:
@@ -133,35 +143,18 @@ def distinct_degree_degrees(f, p) -> tuple[int, ...]:
 
 
 def gf_is_irreducible(f, p) -> bool:
-    """Rabin irreducibility test for monic f over F_p."""
+    """f is irreducible over F_p: squarefree with one irreducible factor,
+    of degree deg f (distinct_degree_degrees).
+
+    A ValueError means False: distinct_degree_degrees raises it for a
+    repeated factor, and pow raises it when p is composite and a gcd
+    meets a leading coefficient that is not a unit.
+    """
     f = gf_normalize(f, p)
-    m = len(f) - 1
-    if m <= 0:
+    try:
+        return distinct_degree_degrees(f, p) == (len(f) - 1,)
+    except ValueError:
         return False
-    if m == 1:
-        return True
-    x = (0, 1)
-    if gf_powmod(x, p**m, f, p) != gf_mod(x, f, p):
-        return False
-    for q in _prime_divisors(m):
-        h = gf_sub(gf_powmod(x, p ** (m // q), f, p), x, p)
-        if len(gf_gcd(h, f, p)) != 1:
-            return False
-    return True
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def find_irreducible(p: int, m: int, seed: int = 0) -> tuple[int, ...]:

@@ -45,8 +45,8 @@ def _check_options(mode, route):
 
 def _relation_basis(targets, route, group, mode, config):
     """Relation search on either route; config holds prime, seed and
-    group_order.  With no group the permutation route has no generator to
-    validate."""
+    group_order.  With no group the permutation route gets the trivial
+    group of degree deg f."""
     if route == "galois":
         if group is None:
             group = galois_mod.PermGroup(len(targets.f) - 1, [])

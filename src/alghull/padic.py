@@ -159,7 +159,7 @@ class UnramifiedRing:
     @classmethod
     def _over_irreducible(cls, p: int, k: int, omega: Sequence[int]) -> "UnramifiedRing":
         """The ring over an omega that gf.find_irreducible found (and so
-        tested) at a prime p; Rabin's test is not run again."""
+        tested) at a prime p; it is not tested again."""
         ring = cls.__new__(cls)
         ring._setup(p, k, omega)
         return ring
@@ -281,39 +281,13 @@ class PadicElement:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "PadicElement":
-        """self^e for e >= 0, by square-and-multiply with no product by 1
-        and no squaring past the top bit of e."""
+        """self^e for e >= 0 (gf.power)."""
         if e < 0:
             raise ValueError("negative exponent")
-        result, base = None, self
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                return self.ring.one() if result is None else result
-            base = base * base
+        return gf.power(self, e, PadicElement.__mul__) if e else self.ring.one()
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def inverse(self) -> "PadicElement":
-        """Inverse of a unit (valuation 0), by residue inverse + Newton
-        steps that double the precision."""
-        ring = self.ring
-        red = gf.gf_normalize(self.coeffs, ring.p)
-        if not red:
-            raise ZeroDivisionError("element is not a unit")
-        y = ring.at_precision(1).element(gf.gf_inverse(red, ring.omega, ring.p))
-        prec = 1
-        while prec < ring.k:
-            prec = min(2 * prec, ring.k)
-            step = ring.at_precision(prec)
-            y = step.element(y.coeffs)
-            y = y * (step.from_int(2) - step.element(self.coeffs) * y)
-        if (self * y).coeffs != ring.one().coeffs:
-            raise PadicError("Newton inversion did not converge to an inverse")
-        return y
 
     def residue(self) -> tuple[int, ...]:
         return tuple(c % self.ring.p for c in self.coeffs)
@@ -346,8 +320,8 @@ def valuation(x, p: int | None = None, k: int | None = None) -> int:
 def build_unramified(p: int, f_p: int, k: int, seed: int = 0) -> UnramifiedRing:
     """Ring of degree f_p and precision k, defining polynomial by seeded search.
 
-    The search tests each candidate with Rabin's test, so the ring is built
-    without testing omega a second time.
+    The search tests each candidate for irreducibility, so the ring is
+    built without testing omega a second time.
     """
     if not _is_prime(p):
         raise PadicError(f"{p} is not a prime")
@@ -416,21 +390,15 @@ def _mulmod(a: list, b: list, g: list) -> list:
 
 
 def _powmod(a: list, e: int, g: list) -> list:
-    """a^e mod a monic g, for e >= 1."""
-    result, base = None, _divmod_monic(a, g)[1]
-    while True:
-        if e & 1:
-            result = base if result is None else _mulmod(result, base, g)
-        e >>= 1
-        if not e:
-            return result
-        base = _mulmod(base, base, g)
+    """a^e mod a monic g, for e >= 1 (gf.power)."""
+    return gf.power(_divmod_monic(a, g)[1], e, lambda x, y: _mulmod(x, y, g))
 
 
 def _monic_gcd(a: list, b: list) -> list:
-    """Monic gcd of a monic a and any b."""
+    """Monic gcd of a monic a and any b, over the residue field."""
+    ring = a[0].ring
     while b:
-        inv = b[-1].inverse()
+        inv = ring.element(gf.gf_inverse(b[-1].coeffs, ring.omega, ring.p))
         a, b = [c * inv for c in b], a
         b = _divmod_monic(b, a)[1]
     return a
@@ -527,8 +495,10 @@ def increase_precision(roots: ApproxRoots, k_new: int, inverses=None) -> ApproxR
     inverses resumes a lift: the y_i = f'(alpha_i)^-1 mod p^k of the roots
     at their precision k, as the lift that made them recorded them in its
     `inverses`.  A RootContext passes those of its top lift, so f'(alpha)
-    is inverted once per context.  Without them f'(alpha) is inverted once
-    per root.  Every result is checked to be a root of f mod p^k_new (a
+    is inverted once per context.  Without them the lift restarts from the
+    residues, inverting f'(alpha) once per root in the residue field
+    (gf.gf_inverse): a simple root has exactly one lift, so the result is
+    the same.  Every result is checked to be a root of f mod p^k_new (a
     PadicError otherwise) and records its inverses mod p^k_new.
     """
     old = roots.ring
@@ -536,19 +506,19 @@ def increase_precision(roots: ApproxRoots, k_new: int, inverses=None) -> ApproxR
         raise PadicError("cannot decrease precision")
     f = roots.poly
     fprime = tuple(i * f[i] for i in range(1, len(f)))
-    omega, flat = old.omega, old.degree == 1
-    alphas = [r.coeffs[0] if flat else r.coeffs for r in roots.roots]
+    omega, flat, p = old.omega, old.degree == 1, old.p
+    prec, points = old.k, [r.coeffs for r in roots.roots]
     if inverses is None:
+        prec, points, field = 1, [r.residue() for r in roots.roots], old.at_precision(1)
         inverses = []
-        for a in alphas:
-            d = _horner(fprime, a, omega, old.modulus)
-            y = PadicElement(old, (d,) if flat else d).inverse().coeffs
+        for a in points:
+            y = field.element(gf.gf_inverse(_horner(fprime, a, omega, p), omega, p)).coeffs
             inverses.append(y[0] if flat else y)
+    alphas = [a[0] if flat else a for a in points]
     moduli = []
-    prec = old.k
     while prec < k_new:
         prec = min(2 * prec, k_new)
-        moduli.append(old.p**prec)
+        moduli.append(p**prec)
     ring = old.at_precision(k_new)
     zero = 0 if flat else (0,) * old.degree
     lifted, lifted_inverses = [], []

@@ -19,13 +19,14 @@ at which the zero test of sum e_i g_i is proven.  The ladder never
 climbs past a ceiling at which every short row is certified, so the
 answers are unconditionally correct.  The LLL route searches at the
 working prime of least residue degree, the permutation route at that of
-largest residue degree; the permutation route's group is only validated
-(see find_relations_galois).  mode="heuristic" is accepted by both
-routes and runs the proven search.
+largest residue degree; the permutation route's group is only
+shape-checked (see find_relations_galois).  mode="heuristic" is accepted
+by both routes and runs the proven search.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -367,11 +368,13 @@ def _search(targets: TargetSet, ctx: padic.RootContext, bounds) -> RelationBasis
     """
     m_prime, m, r, n_bound, threshold_sq = bounds
     p, f_p, s = ctx.p, ctx.f_p, targets.s
-    k_cap = proven_precision(p, f_p, (math.isqrt(threshold_sq) + 1) * m * s, r)
+    # proven_precision builds base^r, so each base is priced once per search
+    k_of = functools.cache(lambda base: proven_precision(p, f_p, base, r))
+    k_cap = k_of((math.isqrt(threshold_sq) + 1) * m * s)
     sizes = [embedding_bound(g, m_prime) for g in targets.targets]
 
     def k_row(e):
-        return proven_precision(p, f_p, max(sum(abs(c) * b for c, b in zip(e, sizes)), 1), r)
+        return k_of(max(sum(abs(c) * b for c, b in zip(e, sizes)), 1))
 
     basis = tuple(tuple(int(i == j) for j in range(s)) for i in range(s))
     step = max(1, int(RUNG_BITS / math.log2(p)))
@@ -428,22 +431,19 @@ def find_relations_galois(
     """Z-basis of the relation lattice at the context of largest residue
     degree (prefer="max"), for a permutation group of the roots.
 
-    The group's generators must pass validate_action (ValueError
-    otherwise); then the search is _search, as on the LLL route.  The
-    group adds no constraint.  Frobenius is a Z/p^k-linear automorphism
-    of the unramified ring, so the condition at the roots permuted by a
-    power of it is the same as at the roots themselves; and any other
-    permutation is only trusted, not proven, so a group larger than the
-    Galois group would cut true relations out.  mode="heuristic" is
-    accepted and runs the same search: the answer is "proven" in both
-    modes.
+    The group must have degree deg f (ValueError otherwise), and PermGroup
+    has checked that each generator is a permutation; then the search is
+    _search, as on the LLL route.  The group adds no constraint.
+    Frobenius is a Z/p^k-linear automorphism of the unramified ring, so
+    the condition at the roots permuted by a power of it is the same as
+    at the roots themselves; and any other permutation is only trusted,
+    not proven, so a group larger than the Galois group would cut true
+    relations out.  mode="heuristic" is accepted and runs the same
+    search: the answer is "proven" in both modes.
     """
     check_mode(mode)
     if group.degree != len(targets.f) - 1:
         raise ValueError("group degree must equal deg f")
     ctx = padic.root_context(targets.f, prime, prefer="max", seed=seed)
     bounds = _shared_bounds(targets, group_order, ctx.f_p, _scan_lcm(ctx.selection, prime))
-    for g in group.generators:
-        if not galois_mod.validate_action(g, ctx):
-            raise ValueError(f"permutation {g} fails the root-action check")
     return _search(targets, ctx, bounds)

@@ -7,7 +7,7 @@ import json
 
 from click.testing import CliRunner
 
-from alghull import lattice, padic
+from alghull import lattice
 from alghull.cli import main
 
 runner = CliRunner()
@@ -95,10 +95,12 @@ def test_relations_heuristic_mode_reports_proven_on_both_routes(tmp_path):
 
 
 def test_relations_group_is_validated_not_trusted(tmp_path):
-    # x^4 - 10x^2 + 1 (Galois group V4): a caller's S4 passes the root-action
-    # check and once cut the relations a_i + a_j = 0 out, leaving
-    # [[1, 1, 1, 1]] "proven"; on x^5 - x - 1 a transposition of roots in
-    # Frobenius orbits of lengths 2 and 3 (p = 7) fails the check
+    # The group is shape-checked only.  x^4 - 10x^2 + 1 (Galois group V4):
+    # a caller's S4 once cut the relations a_i + a_j = 0 out, leaving
+    # [[1, 1, 1, 1]] "proven".  x^5 - x - 1 (S5) and x^4 + 8x + 12 (A4):
+    # a transposition and the double transpositions are Galois elements,
+    # though they do not preserve Frobenius orbit lengths at p = 7 and
+    # p = 5, and once exited 2.  A generator that is not a permutation exits 2.
     group = tmp_path / "group.json"
     group.write_text(json.dumps([[2, 3, 4, 1], [2, 1, 3, 4]]))
     targets = [[[1, [1 if j == i else 0 for j in range(4)]]] for i in range(4)]
@@ -108,13 +110,23 @@ def test_relations_group_is_validated_not_trusted(tmp_path):
     data = json.loads(result.output)
     assert lattice.hnf(data["basis"]) == ((1, 0, 0, 1), (0, 1, 1, 0))
     assert data["certification"] == "proven"
-    group.write_text(json.dumps([[2, 1, 3, 4, 5]]))
-    targets = [[[1, [1 if j == i else 0 for j in range(5)]]] for i in range(5)]
-    result = runner.invoke(main, ["relations", "-", "--group", str(group)],
-                           input=json.dumps({"poly": [-1, -1, 0, 0, 0, 1],
-                                             "targets": targets}))
+    for poly, gens in (([-1, -1, 0, 0, 0, 1], [[2, 1, 3, 4, 5]]),
+                       ([12, 8, 0, 0, 1], [[2, 1, 4, 3], [3, 4, 1, 2]])):
+        n = len(poly) - 1
+        targets = [[[1, [1 if j == i else 0 for j in range(n)]]] for i in range(n)]
+        payload = json.dumps({"poly": poly, "targets": targets})
+        group.write_text(json.dumps(gens))
+        result = _invoke(["relations", "-", "--group", str(group)], stdin=payload)
+        assert result.exit_code == 0
+        data = json.loads(result.output)
+        assert data["route"] == "galois"
+        assert lattice.hnf(data["basis"]) == ((1,) * n,)
+        lll = json.loads(_invoke(["relations", "-"], stdin=payload).output)
+        assert data["basis"] == lll["basis"]
+    group.write_text(json.dumps([[1, 1, 3, 4]]))
+    result = runner.invoke(main, ["relations", "-", "--group", str(group)], input=payload)
     assert result.exit_code == 2
-    assert "root-action" in result.output
+    assert "not a permutation" in result.output
 
 
 def test_hull_rejects_a_group_order_frobenius_rules_out():
@@ -320,22 +332,14 @@ def test_bench_route_b_takes_explicit_group_images(tmp_path):
 
 
 def test_bench_reports_a_generator_that_fails_validation_and_goes_on(tmp_path):
-    # x^3 - 2 is irreducible mod 7, the prime of largest residue degree, so
-    # every permutation passes there; (x - 1)(x^2 - 2) has one rational
-    # root and a 2-orbit under Frobenius at its prime of largest degree
-    f = [2, -2, -1, 1]
-    frob = padic.root_context(tuple(f), prefer="max").frobenius
-    fixed = next(i for i in range(3) if frob[i] == i)
-    moved = next(i for i in range(3) if frob[i] != i)
-    swap = list(range(1, 4))
-    swap[fixed], swap[moved] = moved + 1, fixed + 1
+    # a generator that is not a permutation fails the shape check
     rows = _bench_rows(tmp_path, [
-        {"label": "bad-group", "poly": f, "group": [swap]},
+        {"label": "bad-group", "poly": [-2, 0, 0, 1], "group": [[1, 1, 3]]},
         {"label": "x^2-2", "poly": [-2, 0, 1], "group_order": 2, "expected_dim": 1},
     ])
     assert [r[:2] for r in rows] == [["bad-group", "A"], ["bad-group", "-"],
                                      ["x^2-2", "A"], ["x^2-2", "B"]]
-    assert rows[1][8].startswith("error:") and "root-action check" in rows[1][8]
+    assert rows[1][8].startswith("error:") and "not a permutation" in rows[1][8]
     assert [r[8] for r in rows[2:]] == ["yes", "yes"]
 
 

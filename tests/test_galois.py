@@ -1,5 +1,5 @@
-"""Permutation groups acting on labeled p-adic roots, the action
-validator, the trace-zero subspace, and the trace-criterion oracle of
+"""Permutation groups acting on labeled p-adic roots, the orbit-length
+check, the trace-zero subspace, and the trace-criterion oracle of
 the tests.
 """
 
@@ -7,6 +7,7 @@ import pytest
 
 import trace_criterion
 from alghull import galois, matrices, padic
+from alghull import relations as rel
 
 F_QUAD = (-2, 0, 1)
 F_QUARTIC_RAD = (-2, 0, 0, 0, 1)  # x^4 - 2
@@ -53,27 +54,45 @@ def test_subset_growth_exhausts_trivial_group():
     assert s.perms == [(0, 1, 2)]
 
 
+def _roots_as_targets(f):
+    n = len(f) - 1
+    return rel.TargetSet(f, tuple(rel.ExponentPolynomial.variable(i, n) for i in range(n)))
+
+
 def test_validate_action():
-    # mixed factor degrees: x^3 - 2 mod 5 = (x - 3)(deg-2 factor)
+    # validate_action checks that Frobenius orbit lengths are preserved; it
+    # is not a test of Galois membership.  x^3 - 2 mod 5 = (x - 3)(deg-2
+    # factor), and its Galois group is S3.
     assert padic.factor_degrees(F_CUBIC, 5) == (1, 2)
     ctx = padic.root_context(F_CUBIC, prime=5)
     frob = padic.frobenius_perm(ctx.roots(8))
     assert galois.validate_action(frob, ctx)
-    # a permutation moving the rational root into a 2-orbit must fail
-    lengths = {}
-    for i in range(3):
-        j, l = i, 0
-        while True:
-            j = frob[j]
-            l += 1
-            if j == i:
-                break
-        lengths[i] = l
-    fixed = next(i for i, l in lengths.items() if l == 1)
-    moved = next(i for i, l in lengths.items() if l == 2)
-    bad = list(range(3))
-    bad[fixed], bad[moved] = moved, fixed
-    assert not galois.validate_action(tuple(bad), ctx)
+    fixed = next(i for i in range(3) if frob[i] == i)
+    moved = next(i for i in range(3) if frob[i] != i)
+    swap = list(range(3))
+    swap[fixed], swap[moved] = moved, fixed
+    # the swap moves the rational root into the 2-orbit, so it fails the
+    # check, yet it is an element of S3, the Galois group
+    assert not galois.validate_action(tuple(swap), ctx)
+    targets = _roots_as_targets(F_CUBIC)
+    got = rel.find_relations_galois(targets, galois.PermGroup(3, [swap, frob]), prime=5)
+    assert got.rows == rel.find_relations_lll(targets, prime=5).rows == ((1, 1, 1),)
+
+
+def test_a_genuine_galois_group_is_not_rejected():
+    # x^4 + 8x + 12 has Galois group A4, normal in S4: the double
+    # transpositions are Galois elements under any labelling of the roots.
+    # At its prime of largest residue degree (p = 5, factor degrees 1, 3)
+    # each moves the root Frobenius fixes, so each fails the orbit-length
+    # check, and the route accepts them.
+    f = (12, 8, 0, 0, 1)
+    ctx = padic.root_context(f, prefer="max")
+    assert (ctx.p, ctx.selection.degrees) == (5, (1, 3))
+    group = galois.PermGroup.from_images(4, [[2, 1, 4, 3], [3, 4, 1, 2]])
+    assert not any(galois.validate_action(g, ctx) for g in group.generators)
+    targets = _roots_as_targets(f)
+    got = rel.find_relations_galois(targets, group)
+    assert got.rows == rel.find_relations_lll(targets).rows == ((1, 1, 1, 1),)
 
 
 def test_trace_zero_subspace():

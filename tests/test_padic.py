@@ -58,19 +58,27 @@ def test_ring_arithmetic_and_inverse():
     b = ring.element((5, 7))
     assert (a + b - b - a).is_zero()
     assert ((a * b) - (b * a)).is_zero()
-    inv = a.inverse()
-    assert (a * inv - ring.one()).is_zero()
+    # inverses come from the residue field, by extended Euclid
+    field = ring.at_precision(1)
+    inv = field.element(gf.gf_inverse(a.residue(), ring.omega, 3))
+    assert (field.element(a.coeffs) * inv - field.one()).is_zero()
     with pytest.raises(ZeroDivisionError):
-        ring.element((3, 0)).inverse()  # valuation > 0 has no inverse
+        # valuation > 0 has no inverse
+        gf.gf_inverse(ring.element((3, 0)).residue(), ring.omega, 3)
 
 
 def test_inverse_at_every_precision():
-    # the Newton steps double the precision and stop at k, whatever k is
-    for p, f_p in [(3, 2), (2, 3), (31, 1)]:
+    # the Newton steps double the precision and stop at k, whatever k is,
+    # and the inverse derivatives they carry are exact mod p^k
+    for f, p, f_p in [(F_QUAD, 3, 2), ((1, 1, 0, 1), 2, 3), (F_QUAD, 31, 1)]:
+        fprime = pol.derivative(f)
         for k in range(1, 41):
-            ring = padic.build_unramified(p, f_p, k)
-            u = ring.element([1 + p * 7**k] + [11**k] * (f_p - 1))  # residue 1 + ...: a unit
-            assert (u * u.inverse()).coeffs == ring.one().coeffs, (p, f_p, k)
+            lifted = padic.lift_roots(f, padic.build_unramified(p, f_p, k))
+            ring = lifted.ring
+            assert len(lifted.roots) == len(lifted.inverses) == len(f) - 1
+            for alpha, y in zip(lifted.roots, lifted.inverses):
+                y = ring.element((y,) if f_p == 1 else y)
+                assert (pol.evaluate(fprime, alpha) * y).coeffs == ring.one().coeffs, (p, k)
 
 
 @pytest.mark.parametrize("k", [1, 5, 20])
@@ -106,17 +114,17 @@ def test_increase_precision_is_consistent():
 
 def test_increase_precision_inverts_once_per_root(monkeypatch):
     calls = []
-    inverse = padic.PadicElement.inverse
+    inverse = gf.gf_inverse
 
-    def counting(self):
-        calls.append(self.ring.k)
-        return inverse(self)
+    def counting(a, modulus, p):
+        calls.append(p)
+        return inverse(a, modulus, p)
 
-    monkeypatch.setattr(padic.PadicElement, "inverse", counting)
+    monkeypatch.setattr(gf, "gf_inverse", counting)
     low = padic.lift_roots(F_QUARTIC, padic.build_unramified(5, 4, 1))
     calls.clear()
     high = padic.increase_precision(low, 64)  # six doubling steps
-    assert calls == [1] * 4
+    assert calls == [5] * 4  # in the residue field, once per root
     for r in high.roots:
         assert padic.valuation(pol.evaluate(F_QUARTIC, r)) >= 64
 
@@ -152,7 +160,8 @@ def test_ring_construction_rejects_composite_p():
 
 
 def test_irreducible_search_is_bounded():
-    # over Z/4 no candidate passes Rabin's test; the search used to loop forever
+    # over Z/4 no candidate passes the irreducibility test; the search used
+    # to loop forever
     code = (
         "from alghull import gf, padic\n"
         "for call in (lambda: gf.find_irreducible(4, 2, seed=3),\n"
@@ -170,6 +179,27 @@ def test_irreducible_search_is_bounded():
         "no irreducible polynomial of degree 2 over F_4 among 400 candidates",
         "4 is not a prime",
     ]
+
+
+def _has_monic_divisor(f, p):
+    """Whether some monic polynomial of degree 1..deg f / 2 divides f mod p."""
+    m = len(f) - 1
+    return any(not gf.gf_mod(f, tuple(low) + (1,), p)
+               for d in range(1, m // 2 + 1)
+               for low in itertools.product(range(p), repeat=d))
+
+
+def test_irreducibility_matches_brute_force():
+    # every polynomial of degree <= 4 over F_p, p <= 7, with leading
+    # coefficient 1 or -1: irreducible exactly when it has degree >= 1 and
+    # no monic divisor of degree <= deg / 2
+    for p in (2, 3, 5, 7):
+        for m in range(5):
+            for lead in {1, p - 1}:
+                for low in itertools.product(range(p), repeat=m):
+                    f = low + (lead,)
+                    expected = m >= 1 and not _has_monic_divisor(f, p)
+                    assert gf.gf_is_irreducible(f, p) == expected, (f, p)
 
 
 def test_root_splitting_is_bounded():

@@ -7,6 +7,7 @@ membership). Both search routes must agree lattice-wise, and heuristic
 mode must match proven mode.
 """
 
+import collections
 import functools
 import random
 
@@ -277,6 +278,29 @@ def test_a_search_runs_no_zero_test(monkeypatch):
         for e in res.rows:
             assert rel.is_zero(corpus.combination(ts, e), ts.f, prime=res.bounds.p,
                                group_order=entry.group_order), (entry.label, e)
+
+
+def test_each_search_prices_each_bound_once(monkeypatch):
+    # proven_precision builds base^r; a search calls it once per distinct
+    # base, where it once ran for every kept row on every rung (24 calls
+    # over 7 distinct arguments on this hull)
+    searches = []
+    search, precision = rel._search, rel.proven_precision
+
+    def counting_search(*args):
+        searches.append(collections.Counter())
+        return search(*args)
+
+    def counting_precision(*args):
+        searches[-1][args] += 1
+        return precision(*args)
+
+    monkeypatch.setattr(rel, "_search", counting_search)
+    monkeypatch.setattr(rel, "proven_precision", counting_precision)
+    for route in ("lll", "galois"):
+        searches.clear()
+        hull.hull_matrix(matrices.companion((-1, -1, 0, 0, 0, 1)), route=route)
+        assert searches and all(calls and set(calls.values()) == {1} for calls in searches)
 
 
 def test_the_row_check_catches_a_rung_that_keeps_a_non_relation(monkeypatch):
