@@ -2,9 +2,18 @@
 
 For a single semisimple X the hull is cut out of the power span
 I, X, ..., X^t by rational constraints coming from the integer relations
-among the eigenvalues: for each relation e, the hull coefficients gamma
-must reproduce every rational dependency among the weighted power sums
-D_i(e) = sum_k e_k a_k^i.  General X splits as S + N (Jordan) with
+among the eigenvalues: the hull coefficients gamma satisfy sum_i gamma_i
+D_i(e) = 0 for every relation e, where D_i(e) = sum_k e_k a_k^i are the
+weighted power sums.  These conditions are Q-linear in e, and the
+relation lattice is stable under the Galois group, which permutes the
+D_i(e) among the D_i(e') of relations e'; so the solutions over the
+splitting field form a Galois-stable space, which by Galois descent is
+spanned by its rational points.  Its dimension is therefore t + 1 minus
+the rank of the matrix of the D_i(e) at p-adic roots, for e over a
+basis of the relations, and a lower bound on that rank from its
+elementary divisors mod p^k tells the second stage when the relations
+it has certified already cut out the hull (relations._power_sum_relations).
+General X splits as S + N (Jordan) with
 hull(X) = hull(S) + span{N}.  In characteristic 0 the Lie algebra
 generated by algebraic Lie algebras is algebraic (Chevalley; Borel,
 *Linear Algebraic Groups* §7), so the hull of a Lie algebra is the
@@ -18,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import galois as galois_mod
-from . import linalg, matrices
+from . import matrices
 from . import polynomials as pol
 from . import relations as rel
 
@@ -82,25 +91,17 @@ def _hull_semisimple(x, mp, mode, route, group, config, powers=None) -> HullResu
     f = pol.to_int_coeffs(pol.scale_roots(mp, c))
     m = len(f) - 1
     t = m - 1
-    # right_kernel of a zero row is the identity basis: no constraint
-    no_constraint = [(0,) * (t + 1)]
 
     targets1 = rel.TargetSet(f, tuple(rel.ExponentPolynomial.variable(i, m)
                                       for i in range(m)))
     lam_basis = _relation_basis(targets1, route, group, mode, config)
-    certification = lam_basis.certification
-
-    annihilators = []
-    for e in lam_basis.rows:
-        targets2 = rel.TargetSet(
-            f, tuple(rel.ExponentPolynomial.power_sum(e, i) for i in range(t + 1))
-        )
-        me = _relation_basis(targets2, route, group, mode, config)
-        if me.certification != "proven":
-            certification = me.certification
-        rows = [tuple(Fraction(v) for v in row) for row in me.rows]
-        annihilators.extend(linalg.right_kernel(rows or no_constraint))
-    upsilon = linalg.right_kernel(annihilators or no_constraint)
+    witnesses = {}
+    if lam_basis.rows:
+        prefer = "max" if route == "galois" else "min"
+        upsilon, k, rank = rel._power_sum_relations(f, lam_basis.rows, t, prefer, **config)
+        witnesses["stage2"] = {"precision": k, "rank_bound": rank}
+    else:
+        upsilon = [tuple(Fraction(int(i == j)) for j in range(t + 1)) for i in range(t + 1)]
 
     # the coefficient vectors relative to powers of X itself: gamma_i (cX)^i
     # = (gamma_i c^i) X^i
@@ -111,7 +112,7 @@ def _hull_semisimple(x, mp, mode, route, group, config, powers=None) -> HullResu
     basis = [matrices.linear_combination(gamma, powers, len(x)) for gamma in upsilon_x]
     span = matrices.MatrixSpan(basis, n=len(x))
     return HullResult(
-        span, certification, "relation-based",
+        span, lam_basis.certification, "relation-based",
         witnesses={
             "lambda_basis": lam_basis.rows,
             "upsilon_basis": tuple(upsilon_x),
@@ -119,6 +120,7 @@ def _hull_semisimple(x, mp, mode, route, group, config, powers=None) -> HullResu
             "f_p": lam_basis.bounds.f_p,
             "precision": lam_basis.bounds.k,
             "scaling": c,
+            **witnesses,
         },
     )
 

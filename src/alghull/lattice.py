@@ -2,8 +2,9 @@
 
 Integral LLL reduction (integer Gram determinants, no rationals), row
 Hermite normal form, nullspaces over Z/p^k (Howell form, which handles the
-zero divisors correctly), rational reconstruction, and saturation of
-rational row spans to Z-bases.
+zero divisors correctly), a p-adic rank bound from the elementary divisors
+mod p^k, rational reconstruction, and saturation of rational row spans to
+Z-bases.
 
 Matrices are tuples of row tuples of ints (rationals for saturate input).
 """
@@ -33,6 +34,13 @@ def lll_reduce(rows: Sequence[Sequence[int]], delta: Fraction = Fraction(3, 4)):
     b_i satisfies ||b_i||^2 <= 2^(n-1) M^2 whenever the lattice contains n
     independent vectors of norm at most M.
     """
+    return _lll(rows, delta)[0]
+
+
+def _lll(rows, delta: Fraction = Fraction(3, 4)):
+    """lll_reduce, returning the reduced basis and its Gram determinants
+    d[0] = 1, ..., d[n] (d[i] / d[i-1] is the squared norm of the i-th
+    Gram-Schmidt vector, from 1)."""
     delta = Fraction(delta)
     if not (Fraction(1, 4) < delta < 1):
         raise ValueError("delta must lie in (1/4, 1)")
@@ -73,7 +81,7 @@ def lll_reduce(rows: Sequence[Sequence[int]], delta: Fraction = Fraction(3, 4)):
                 lam[l][i - 1] = (new_d * t + m * lam[l][i]) // d[i + 1]
             d[i] = new_d
             i = max(i - 1, 1)
-    return tuple(tuple(row) for row in b)
+    return tuple(tuple(row) for row in b), d
 
 
 def _gram_data(b: list[list[int]]):
@@ -95,13 +103,6 @@ def _gram_data(b: list[list[int]]):
         if d[i + 1] == 0:
             raise ValueError("lll_reduce needs linearly independent rows")
     return d, lam
-
-
-def gram_determinants(rows: Sequence[Sequence[int]]) -> list[int]:
-    """[d_0, ..., d_n]: d_0 = 1 and d_i the Gram determinant of the first i
-    of the linearly independent rows, so the i-th Gram-Schmidt vector
-    (from 1) has squared norm d_i / d_(i-1).  Integers, as in lll_reduce."""
-    return _gram_data(_int_rows(rows))[0]
 
 
 def gram_schmidt_data(rows: Sequence[Sequence[int]]):
@@ -212,6 +213,37 @@ def p_valuation(x: int, p: int) -> int:
         x //= p
         v += 1
     return v
+
+
+def rank_lower_bound(rows: Sequence[Sequence[int]], p: int, k: int) -> int:
+    """Number of elementary divisors of the integer matrix `rows` over Z_p
+    with valuation below k: a lower bound on its rank over Q_p, read off
+    the matrix mod p^k alone.
+
+    Elimination mod p^k that pivots on an entry u p^v (u a unit) of least
+    valuation in the whole remaining matrix: that entry divides every other
+    one, so row and column operations split off p^v and leave the rest,
+    and a pivot found mod p^k has v < k.  A row is scaled by the unit u
+    rather than the pivot by u^-1, which spares an inverse mod p^k.
+    (Howell pivots can outnumber the rank: [[p, 1]] mod p^2 has two of
+    them and rank 1.)
+    """
+    pk = p**k
+    m = [[x % pk for x in row] for row in rows]
+    count = 0
+    while True:
+        entries = [(p_valuation(x, p), i, j)
+                   for i, row in enumerate(m) for j, x in enumerate(row) if x]
+        if not entries:
+            return count
+        v, i, j = min(entries)
+        pivot = m.pop(i)
+        u = pivot[j] // p**v
+        for row in m:
+            if row[j]:
+                q = row[j] // p**v
+                row[:] = [(u * a - q * b) % pk for a, b in zip(row, pivot)]
+        count += 1
 
 
 def howell(rows: Sequence[Sequence[int]], p: int, k: int):

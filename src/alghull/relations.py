@@ -21,7 +21,9 @@ answers are unconditionally correct.  The LLL route searches at the
 working prime of least residue degree, the permutation route at that of
 largest residue degree; the permutation route's group is only
 shape-checked (see find_relations_galois).  mode="heuristic" is accepted
-by both routes and runs the proven search.
+by both routes and runs the proven search.  The second stage of a hull
+(_power_sum_relations) climbs one ladder per relation in lockstep and
+stops at a p-adic rank certificate.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import galois as galois_mod
-from . import lattice, padic
+from . import lattice, linalg, padic
 
 
 def check_mode(mode: str) -> None:
@@ -328,10 +330,9 @@ def _rung(basis, b_rows, p: int, k_from: int, k_to: int, threshold_sq: int):
                for col in zip(*b_rows))
          for row in basis]
     cols = tuple(zip(*basis))
-    basis = lattice.lll_reduce(
+    basis, d = lattice._lll(
         [[sum(x * y for x, y in zip(crow, col) if x) for col in cols]
          for crow in _relation_lattice(w, p, k_to - k_from)])
-    d = lattice.gram_determinants(basis)
     keep = len(basis)
     while keep and d[keep] > threshold_sq * d[keep - 1]:
         keep -= 1
@@ -345,9 +346,8 @@ def _finalize(rows):
     return lattice.lll_reduce(sat) if sat else ()
 
 
-def _search(targets: TargetSet, ctx: padic.RootContext, bounds) -> RelationBasis:
-    """The relation search of both routes: climb the precision ladder and
-    stop at the first certified rung.
+def _climb(targets: TargetSet, ctx: padic.RootContext, bounds):
+    """The precision ladder of the relation search, one rung per step.
 
     The ladder keeps an LLL-reduced basis of a lattice M with Lambda <= M
     <= L_k', from M = Z^s at k' = 0.  Each rung (p^(k''-k') about
@@ -356,15 +356,19 @@ def _search(targets: TargetSet, ctx: padic.RootContext, bounds) -> RelationBasis
     certified at k' when k_e <= k', where k_e = proven_precision(p, f_p,
     sum |e_i| embedding_bound(g_i), r) is the precision zero_test picks
     for sum e_i g_i: e lies in L_k', so that sum vanishes mod p^k_e, and
-    hence vanishes.  Once every row is certified, M <= Lambda too, so M =
-    Lambda and the search stops.
+    hence vanishes.  Each certified row is also checked against B mod
+    p^k_e.  Once every row is certified, M <= Lambda too, so M = Lambda
+    and the ladder is done.
 
     The ceiling k_cap is the precision at which every row under the
     threshold of _shared_bounds is certified; the ladder never climbs
-    past it.  There the rows with k_e <= k_cap include rank(Lambda)
-    independent relations, so their saturation is Lambda.  BoundData.k is
-    the rung where the search stopped.  Before returning, each certified
-    row is checked against the B of that rung mod p^k_e.
+    past it, and is done there too.  Then the rows with k_e <= k_cap
+    include rank(Lambda) independent relations, so their saturation is
+    Lambda.
+
+    After each rung it yields (k', B, the certified rows, done), B the s
+    rows of target coefficient vectors at precision k'; it stops after
+    the rung that is done.
     """
     m_prime, m, r, n_bound, threshold_sq = bounds
     p, f_p, s = ctx.p, ctx.f_p, targets.s
@@ -385,15 +389,77 @@ def _search(targets: TargetSet, ctx: padic.RootContext, bounds) -> RelationBasis
         b_rows = [padic.eval_target(g, roots).coeffs for g in targets.targets]
         basis = _rung(basis, b_rows, p, k_from, k, threshold_sq)
         certified = [(e, k_e) for e in basis if (k_e := k_row(e)) <= k]
-        if k == k_cap or len(certified) == len(basis):
-            break
-    for e, k_e in certified:
-        pk = p**k_e
-        if any(sum(c * x for c, x in zip(e, col)) % pk for col in zip(*b_rows)):
-            raise RuntimeError(f"certified row {e} is not a relation mod p^{k_e}")
-    rows = _finalize([e for e, _ in certified])
-    return RelationBasis(tuple(rows), "proven",
-                         BoundData(m_prime, m, r, n_bound, k, p, f_p))
+        for e, k_e in certified:
+            pk = p**k_e
+            if any(sum(c * x for c, x in zip(e, col)) % pk for col in zip(*b_rows)):
+                raise RuntimeError(f"certified row {e} is not a relation mod p^{k_e}")
+        done = k == k_cap or len(certified) == len(basis)
+        yield k, b_rows, tuple(e for e, _ in certified), done
+        if done:
+            return
+
+
+def _search(targets: TargetSet, ctx: padic.RootContext, bounds) -> RelationBasis:
+    """The relation search of both routes: climb the ladder of _climb until
+    it is done, and return the LLL-reduced saturation of the certified
+    rows.  BoundData.k is the rung where the search stopped."""
+    for k, _, certified, _ in _climb(targets, ctx, bounds):
+        pass
+    m_prime, m, r, n_bound, _ = bounds
+    return RelationBasis(tuple(_finalize(certified)), "proven",
+                         BoundData(m_prime, m, r, n_bound, k, ctx.p, ctx.f_p))
+
+
+def _power_sum_relations(f, lam_rows, t: int, prefer: str, *, prime=None, seed: int = 0,
+                         group_order=None):
+    """The rational gamma in Q^(t+1) with sum_i gamma_i D_i(e) = 0 for every
+    e in Lambda, D_i(e) = sum_k e_k a_k^i, given the rows e_1..e_rho of a
+    Z-basis of Lambda: the second stage of the hull of a semisimple matrix.
+
+    Returns (basis, k, rho'): basis is the canonical basis (that of
+    linalg.right_kernel) of the solution space V, k is the rung where the
+    stage stopped and rho' the rank bound behind the stop.
+
+    One ladder of _climb per row e_j, at the context of the given
+    preference, climbs in lockstep.  The certified rows of ladder j are
+    relations among the D_i(e_j), so their Q-spans meet in a space W <= V.
+    Lambda is stable under the Galois group, which maps D_i(e) to D_i(e')
+    for a permuted e' in Lambda; so the solutions in the splitting field of
+    the conditions at e_1..e_rho form a Galois-stable space, which by
+    Galois descent is spanned by V.  Hence dim_Q V = s - rank_Qp(B), s = t +
+    1 and B the s x (rho f_p) matrix of the coefficient vectors of the
+    D_i(e_j) at the context's roots (gamma B = 0 exactly when every
+    coordinate vanishes).  rho', the number of elementary divisors of B mod
+    p^k with valuation below k, is at most that rank.  So the stage stops
+    at the first rung where dim W = s - rho', and then W = V.  When the
+    ladders sit at different k, rho' is read at the smallest.  Otherwise
+    every ladder runs until it is done, and then the certified rows of
+    ladder j span its relation lattice, so W = V again.  No certified row
+    is saturated or reduced: only the Q-spans count.
+    """
+    ctx = padic.root_context(f, prime, prefer=prefer, seed=seed)
+    lcm = _scan_lcm(ctx.selection, prime)
+    s = t + 1
+    ladders = []
+    for e in lam_rows:
+        targets = TargetSet(f, tuple(ExponentPolynomial.power_sum(e, i) for i in range(s)))
+        ladders.append(_climb(targets, ctx, _shared_bounds(targets, group_order, ctx.f_p, lcm)))
+    no_rows = [(0,) * s]  # right_kernel of a zero row is all of Q^s
+    states = [next(ladder) for ladder in ladders]
+    while True:
+        ks, b_blocks, certified, done = zip(*states)
+        b = [sum((block[i] for block in b_blocks), ()) for i in range(s)]
+        rank = lattice.rank_lower_bound(b, ctx.p, min(ks))
+        finished = all(done)
+        # a ladder's certified rows are independent, so dim W is at most
+        # the fewest of them
+        if finished or min(map(len, certified)) >= s - rank:
+            basis = linalg.right_kernel([a for rows in certified
+                                         for a in linalg.right_kernel(rows or no_rows)]
+                                        or no_rows)
+            if finished or len(basis) == s - rank:
+                return basis, max(ks), rank
+        states = [state if state[3] else next(ladder) for state, ladder in zip(states, ladders)]
 
 
 # ------------------------------------------------------------------ routes

@@ -30,6 +30,20 @@ def test_hull_matrix_roundtrip(tmp_path):
     assert data["basis"] == [[["0", "2"], ["1", "0"]]]
 
 
+def test_hull_shows_where_stage_2_stopped():
+    # x^2 - 2: Lambda = <(1, 1)>, and D_0 = 2, D_1 = 0 give B of rank 1
+    result = _invoke(["hull", "-"], stdin=json.dumps({"matrix": [[0, 2], [1, 0]]}))
+    wit = json.loads(result.output)["witnesses"]
+    assert set(wit) == {"lambda_basis", "upsilon_basis", "prime", "f_p", "precision",
+                        "scaling", "stage2"}
+    assert set(wit["stage2"]) == {"precision", "rank_bound"}
+    assert wit["stage2"]["rank_bound"] == 1 and wit["stage2"]["precision"] >= 1
+    # x^2 - x - 1: no relation, so no stage 2
+    result = _invoke(["hull", "-"], stdin=json.dumps({"matrix": [[0, 1], [1, 1]]}))
+    wit = json.loads(result.output)["witnesses"]
+    assert wit["lambda_basis"] == [] and "stage2" not in wit
+
+
 def test_hull_reads_stdin():
     result = _invoke(["hull", "-"], stdin=json.dumps({"matrix": [[1, 1], [0, 1]]}))
     assert result.exit_code == 0

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 import corpus
 import trace_criterion
-from alghull import galois, hull, matrices
+from alghull import galois, hull, lattice, matrices
 from alghull import polynomials as pol
+from alghull import relations as rel
 
 
 def companion(poly):
@@ -233,6 +234,85 @@ def test_galois_route_matches_lll_route():
         b = hull.hull_matrix(x, route="galois", group=corpus.group_for(entry),
                              group_order=entry.group_order)
         assert a.span == b.span, entry.label
+
+
+# ------------------------------------------------- stage 2's early stop
+
+def _corpus_calls(entry):
+    """The hull_matrix options of the corpus batch: both routes, with the
+    entry's group order; the permutation route at its own prime, with the
+    Frobenius group."""
+    yield {"route": "lll", "group_order": entry.group_order}
+    yield {"route": "galois", "group_order": entry.group_order,
+           "group": corpus.group_for(entry), "prime": corpus.prime_for(entry)}
+
+
+def _without_stage2(res):
+    witnesses = {k: v for k, v in res.witnesses.items() if k != "stage2"}
+    return res.span, res.certification, witnesses
+
+
+def _without_the_certificate(x, **options):
+    """The hull with the rank certificate read as 0: every stage-2 ladder
+    then climbs until it is done, as each per-relation search did."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "rank_lower_bound", lambda *args: 0)
+        return hull.hull_matrix(x, **options)
+
+
+def test_the_early_stop_changes_no_corpus_hull():
+    for entry in corpus.CORPUS:
+        x = companion(entry.poly)
+        for options in _corpus_calls(entry):
+            res = hull.hull_matrix(x, **options)
+            assert _without_stage2(res) == _without_stage2(
+                _without_the_certificate(x, **options)), (entry.label, options["route"])
+
+
+@st.composite
+def squarefree_polys(draw, max_deg=5):
+    """Monic squarefree integer polynomials of degree 1..max_deg with
+    coefficients in [-4, 4], constant term first."""
+    deg = draw(st.integers(1, max_deg))
+    f = tuple(draw(st.lists(st.integers(-4, 4), min_size=deg, max_size=deg))) + (1,)
+    assume(pol.degree(pol.squarefree_part(tuple(Fraction(c) for c in f))) == deg)
+    return f
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(squarefree_polys(), st.sampled_from(["lll", "galois"]))
+def test_the_early_stop_changes_no_hull_without_a_group_order(f, route):
+    x = companion(f)
+    res = hull.hull_matrix(x, route=route)
+    assert _without_stage2(res) == _without_stage2(_without_the_certificate(x, route=route))
+
+
+def test_stage2_climbs_one_rung_per_relation_on_the_corpus(monkeypatch):
+    # every corpus hull with relations stops at stage 2's first rung: one
+    # _rung per row of Lambda, no saturation and no LLL of the result
+    rungs, stages = [], []
+    rung, stage2 = rel._rung, rel._power_sum_relations
+
+    def counting_stage2(f, lam_rows, *args, **kwargs):
+        before = len(rungs)
+        out = stage2(f, lam_rows, *args, **kwargs)
+        stages.append((len(lam_rows), len(rungs) - before))
+        return out
+
+    monkeypatch.setattr(rel, "_rung", lambda *args: rungs.append(args) or rung(*args))
+    monkeypatch.setattr(rel, "_power_sum_relations", counting_stage2)
+    monkeypatch.setattr(rel, "_finalize", lambda rows, finalize=rel._finalize: (
+        stages.append("finalize") or finalize(rows)))
+    for entry in corpus.CORPUS:
+        for options in _corpus_calls(entry):
+            stages.clear()
+            res = hull.hull_matrix(companion(entry.poly), **options)
+            rho = len(res.witnesses["lambda_basis"])
+            if rho:
+                assert stages == ["finalize", (rho, rho)], (entry.label, options["route"])
+                assert res.witnesses["stage2"]["rank_bound"] == len(entry.poly) - 1 - res.dim
+            else:
+                assert stages == ["finalize"] and "stage2" not in res.witnesses
 
 
 # ---------------------------------------------------- Lie hull differential

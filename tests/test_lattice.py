@@ -129,6 +129,18 @@ def test_integral_lll_matches_rational_reference(rows, delta):
     assert lattice.is_lll_reduced(red, delta)
 
 
+@given(_independent_bases())
+@settings(max_examples=100, deadline=None)
+def test_lll_returns_the_gram_determinants_of_its_basis(rows):
+    # the relation search prunes with these d; d[i] / d[i-1] is the
+    # squared norm of the i-th Gram-Schmidt vector of the output
+    red, d = lattice._lll(rows)
+    assert red == lattice.lll_reduce(rows)
+    norms = lattice.gram_schmidt_data(red)[1]
+    assert d[0] == 1 and len(d) == len(red) + 1
+    assert all(Fraction(d[i + 1], d[i]) == norms[i] for i in range(len(red)))
+
+
 def test_lll_rounds_half_integers_to_even():
     # mu = 5/2 rounds to 2, as round() does: (5, 1) - 2 (2, 0) = (1, 1);
     # rounding up to 3 would give (-1, 1) and the output ((-1, 1), (1, 1))
@@ -317,6 +329,30 @@ def test_howell_handles_zero_divisors():
         assert any(row)
     # every original row lies in the span of the Howell rows
     assert lattice.howell([[7, 21], [0, 7]] + [list(r) for r in h], 7, 2) == h
+
+
+def test_rank_lower_bound_counts_elementary_divisors_not_howell_pivots():
+    # [[p, 1]] mod p^2: two Howell pivots, rank 1
+    for p in (2, 3, 7):
+        assert len(lattice.howell([[p, 1]], p, 2)) == 2
+        assert lattice.rank_lower_bound([[p, 1]], p, 2) == 1
+    assert lattice.rank_lower_bound([[9, 0], [0, 3]], 3, 2) == 1  # 9 = 0 mod 3^2
+    assert lattice.rank_lower_bound([[9, 0], [0, 3]], 3, 3) == 2
+    assert lattice.rank_lower_bound([[0, 0]], 5, 4) == 0
+    assert lattice.rank_lower_bound([], 5, 4) == 0
+
+
+@given(st.integers(1, 5).flatmap(lambda s: st.integers(1, 6).flatmap(
+           lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                              min_size=s, max_size=s))),
+       st.sampled_from([2, 3, 5, 7]), st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_rank_lower_bound_never_exceeds_the_rank(rows, p, k):
+    rank = len(linalg.rref(rows)[1])
+    assert lattice.rank_lower_bound(rows, p, k) <= rank
+    # every minor has |det| <= 5! 9^5 < 2^64, so no nonzero minor vanishes
+    # mod p^64 and the bound is the rank
+    assert lattice.rank_lower_bound(rows, p, 64) == rank
 
 
 def test_nullspace_mod_examples():

@@ -239,14 +239,16 @@ def test_pruning_keeps_every_short_vector(data):
 def test_lll_sees_s_columns_below_p_to_the_k(poly, prime, f_p):
     targets = _variables(poly)
     seen = []
-    real = lattice.lll_reduce
+    real = lattice._lll
 
+    # each rung reduces through lattice._lll, which keeps its Gram
+    # determinants, and the final rows through lll_reduce, which wraps it
     def recorded(rows, *args, **kwargs):
         seen.append([tuple(r) for r in rows])
         return real(rows, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lattice, "lll_reduce", recorded)
+        mp.setattr(lattice, "_lll", recorded)
         res = rel.find_relations_lll(targets, prime=prime)
     b = res.bounds
     assert b.f_p == f_p

@@ -281,26 +281,36 @@ def test_a_search_runs_no_zero_test(monkeypatch):
 
 
 def test_each_search_prices_each_bound_once(monkeypatch):
-    # proven_precision builds base^r; a search calls it once per distinct
+    # proven_precision builds base^r; a ladder calls it once per distinct
     # base, where it once ran for every kept row on every rung (24 calls
-    # over 7 distinct arguments on this hull)
-    searches = []
-    search, precision = rel._search, rel.proven_precision
+    # over 7 distinct arguments on this hull).  Stage 2 runs its ladders in
+    # lockstep, so each call is counted for the ladder that is climbing.
+    searches, current = [], []
+    climb, precision = rel._climb, rel.proven_precision
 
-    def counting_search(*args):
-        searches.append(collections.Counter())
-        return search(*args)
+    def counting_climb(*args):
+        calls = collections.Counter()
+        searches.append(calls)
+        ladder = climb(*args)
+        while True:
+            current[:] = [calls]
+            try:
+                state = next(ladder)
+            except StopIteration:
+                return
+            yield state
 
     def counting_precision(*args):
-        searches[-1][args] += 1
+        current[0][args] += 1
         return precision(*args)
 
-    monkeypatch.setattr(rel, "_search", counting_search)
+    monkeypatch.setattr(rel, "_climb", counting_climb)
     monkeypatch.setattr(rel, "proven_precision", counting_precision)
     for route in ("lll", "galois"):
         searches.clear()
         hull.hull_matrix(matrices.companion((-1, -1, 0, 0, 0, 1)), route=route)
-        assert searches and all(calls and set(calls.values()) == {1} for calls in searches)
+        assert len(searches) == 2  # stage 1, and stage 2's one ladder
+        assert all(calls and set(calls.values()) == {1} for calls in searches)
 
 
 def test_the_row_check_catches_a_rung_that_keeps_a_non_relation(monkeypatch):
