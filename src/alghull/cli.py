@@ -318,7 +318,8 @@ def cmd_bench(corpus, mode, seed, out, plot_data):
     permutation route, which shape-checks the entry's generators (none
     when "group" is absent); other keys are ignored.  Per-entry failures,
     a generator that is not a permutation among them, are reported and do
-    not stop the run.
+    not stop the run.  The relation caches are emptied before each timed
+    call; root contexts stay shared.
     """
     entries = _read_json(corpus)
     buf = io.StringIO()
@@ -333,6 +334,9 @@ def cmd_bench(corpus, mode, seed, out, plot_data):
             go = entry.get("group_order")
             x = matrices.companion(f)
             for route in ("A", "B"):
+                # time each route's searches cold, not an earlier entry's
+                # or route's memoized answer
+                rel.clear_caches()
                 t0 = time.perf_counter()
                 if route == "A":
                     res = hull_mod.hull_matrix(

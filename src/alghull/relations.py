@@ -23,7 +23,8 @@ largest residue degree; the permutation route's group is only
 shape-checked (see find_relations_galois).  mode="heuristic" is accepted
 by both routes and runs the proven search.  The second stage of a hull
 (_power_sum_relations) climbs one ladder per relation in lockstep and
-stops at a p-adic rank certificate.
+stops at a p-adic rank certificate.  The answers of both stages are
+memoized per root context (clear_caches() empties them).
 """
 
 from __future__ import annotations
@@ -201,12 +202,26 @@ def proven_precision(p: int, f_p: int, base: int, r: int) -> int:
     Any nonzero algebraic integer with all conjugates bounded by `base`
     and degree at most r has |norm| <= base^r, so vanishing mod p^k in a
     degree-f_p unramified ring at this k forces true vanishing.
+
+    Each comparison is decided from the logarithms of p and base, which
+    math.log2 gives to double precision at any size (from the bit length
+    and leading bits): their rounding error is below 2^-49 of the two
+    sides' sum, so a gap of more than 2^-40 of it decides.  Only inside
+    that band are the powers built and compared exactly.
     """
-    target = max(int(base), 1) ** r
-    k = max(1, math.floor(r * math.log(max(base, 2)) / (f_p * math.log(p))) - 2)
-    while p ** (k * f_p) <= target:
+    base = max(int(base), 1)
+    log_p, log_target = math.log2(p), r * math.log2(base)
+
+    def exceeds(k):  # p^(k f_p) > base^r
+        log_pk = k * f_p * log_p
+        if abs(log_pk - log_target) > (log_pk + log_target) * 2.0**-40:
+            return log_pk > log_target
+        return p ** (k * f_p) > base**r
+
+    k = max(1, math.ceil(log_target / (f_p * log_p)))
+    while not exceeds(k):
         k += 1
-    while k > 1 and p ** ((k - 1) * f_p) > target:
+    while k > 1 and exceeds(k - 1):
         k -= 1
     return k
 
@@ -372,7 +387,7 @@ def _climb(targets: TargetSet, ctx: padic.RootContext, bounds):
     """
     m_prime, m, r, n_bound, threshold_sq = bounds
     p, f_p, s = ctx.p, ctx.f_p, targets.s
-    # proven_precision builds base^r, so each base is priced once per search
+    # each base is priced once per search, though rows repeat across rungs
     k_of = functools.cache(lambda base: proven_precision(p, f_p, base, r))
     k_cap = k_of((math.isqrt(threshold_sq) + 1) * m * s)
     sizes = [embedding_bound(g, m_prime) for g in targets.targets]
@@ -399,10 +414,19 @@ def _climb(targets: TargetSet, ctx: padic.RootContext, bounds):
             return
 
 
+# Both searches below depend only on their arguments, so each answer is
+# memoized, as padic._root_context memoizes the contexts they run on.  The
+# callers run every argument check first.  A RootContext is keyed by
+# identity (one object per (f, p, seed)), and each entry keeps its context
+# alive.  clear_caches() empties both caches.
+
+@functools.lru_cache(maxsize=128)
 def _search(targets: TargetSet, ctx: padic.RootContext, bounds) -> RelationBasis:
     """The relation search of both routes: climb the ladder of _climb until
     it is done, and return the LLL-reduced saturation of the certified
-    rows.  BoundData.k is the rung where the search stopped."""
+    rows.  BoundData.k is the rung where the search stopped.  The answer
+    is memoized: mode is not an argument, so a heuristic call shares the
+    proven one's entry."""
     for k, _, certified, _ in _climb(targets, ctx, bounds):
         pass
     m_prime, m, r, n_bound, _ = bounds
@@ -417,12 +441,24 @@ def _power_sum_relations(f, lam_rows, t: int, prefer: str, *, prime=None, seed: 
     Z-basis of Lambda: the second stage of the hull of a semisimple matrix.
 
     Returns (basis, k, rho'): basis is the canonical basis (that of
-    linalg.right_kernel) of the solution space V, k is the rung where the
-    stage stopped and rho' the rank bound behind the stop.
+    linalg.right_kernel) of the solution space V, as a tuple, k is the rung
+    where the stage stopped and rho' the rank bound behind the stop.  The
+    context and the group-order check run on every call; the ladders run
+    in the memoized _lockstep.
+    """
+    ctx = padic.root_context(f, prime, prefer=prefer, seed=seed)
+    lcm = _scan_lcm(ctx.selection, prime)
+    degree_bound(f, group_order, ctx.f_p, lcm)  # _shared_bounds' check, before the lookup
+    return _lockstep(tuple(f), tuple(lam_rows), t, ctx, group_order, lcm)
 
-    One ladder of _climb per row e_j, at the context of the given
-    preference, climbs in lockstep.  The certified rows of ladder j are
-    relations among the D_i(e_j), so their Q-spans meet in a space W <= V.
+
+@functools.lru_cache(maxsize=128)
+def _lockstep(f, lam_rows, t: int, ctx: padic.RootContext, group_order, lcm):
+    """The ladders of _power_sum_relations.
+
+    One ladder of _climb per row e_j, at the route's context, climbs in
+    lockstep.  The certified rows of ladder j are relations among the
+    D_i(e_j), so their Q-spans meet in a space W <= V.
     Lambda is stable under the Galois group, which maps D_i(e) to D_i(e')
     for a permuted e' in Lambda; so the solutions in the splitting field of
     the conditions at e_1..e_rho form a Galois-stable space, which by
@@ -437,8 +473,6 @@ def _power_sum_relations(f, lam_rows, t: int, prefer: str, *, prime=None, seed: 
     ladder j span its relation lattice, so W = V again.  No certified row
     is saturated or reduced: only the Q-spans count.
     """
-    ctx = padic.root_context(f, prime, prefer=prefer, seed=seed)
-    lcm = _scan_lcm(ctx.selection, prime)
     s = t + 1
     ladders = []
     for e in lam_rows:
@@ -458,8 +492,15 @@ def _power_sum_relations(f, lam_rows, t: int, prefer: str, *, prime=None, seed: 
                                          for a in linalg.right_kernel(rows or no_rows)]
                                         or no_rows)
             if finished or len(basis) == s - rank:
-                return basis, max(ks), rank
+                return tuple(basis), max(ks), rank
         states = [state if state[3] else next(ladder) for state, ladder in zip(states, ladders)]
+
+
+def clear_caches() -> None:
+    """Empty the memoized answers of _search and _lockstep, so that the
+    next call runs its search cold."""
+    _search.cache_clear()
+    _lockstep.cache_clear()
 
 
 # ------------------------------------------------------------------ routes

@@ -3,18 +3,28 @@
 import pytest
 
 from alghull import padic
+from alghull import relations as rel
 
 
 def _clear_caches():
     padic._automatic_selection.cache_clear()
     padic._root_context.cache_clear()
     padic.cached_roots.cache_clear()
+    rel.clear_caches()
+
+
+@pytest.fixture(autouse=True)
+def cold_relation_searches():
+    """Every test starts with the memoized relation searches empty, so a
+    test that counts or patches the search's steps sees them run."""
+    rel.clear_caches()
 
 
 @pytest.fixture
 def cold_contexts():
-    """padic's prime selections, root contexts and cached lifts start
-    empty, as in a fresh process, and are emptied again afterwards."""
+    """padic's prime selections, root contexts and cached lifts, and the
+    relation searches run on them, start empty, as in a fresh process,
+    and are emptied again afterwards."""
     _clear_caches()
     yield
     _clear_caches()

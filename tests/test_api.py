@@ -59,13 +59,13 @@ def test_names_perfbench_reads_resolve():
 
 def test_no_assert_statements_in_the_package():
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(PACKAGE.glob("*.py"))
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
     ]
     assert found == []
-    assert len(list(PACKAGE.glob("*.py"))) > 5  # the walk saw the package
+    assert len(list(PACKAGE.rglob("*.py"))) > 5  # the walk saw the package
 
 
 def _module_level_imports(tree):

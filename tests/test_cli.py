@@ -7,7 +7,8 @@ import json
 
 from click.testing import CliRunner
 
-from alghull import lattice
+from alghull import hull, lattice
+from alghull import relations as rel
 from alghull.cli import main
 
 runner = CliRunner()
@@ -369,6 +370,24 @@ def test_bench_ignores_the_retired_group_keys(tmp_path):
     assert [(r[0], r[1], r[7], r[8]) for r in rows] == [
         ("x^4-2", "A", "2", "yes"), ("x^4-2", "B", "2", "yes"),
         ("x^4+1", "A", "2", "yes"), ("x^4+1", "B", "2", "yes")]
+
+
+def test_bench_times_each_route_with_cold_relation_caches(tmp_path, monkeypatch):
+    # a corpus that lists a polynomial twice would otherwise time a cache
+    # hit for the second entry, and route B a hit on route A's searches
+    sizes, real = [], hull.hull_matrix
+
+    def recording(*args, **kwargs):
+        sizes.append((rel._search.cache_info().currsize,
+                      rel._lockstep.cache_info().currsize))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hull, "hull_matrix", recording)
+    entry = {"label": "x^2-2", "poly": [-2, 0, 1], "group_order": 2, "expected_dim": 1}
+    rows = _bench_rows(tmp_path, [entry, entry])
+    assert [r[8] for r in rows] == ["yes"] * 4
+    assert sizes == [(0, 0)] * 4
+    assert rel._search.cache_info().currsize  # the calls did fill the caches
 
 
 def test_bench_isolates_bad_entries(tmp_path):

@@ -254,10 +254,16 @@ def _without_stage2(res):
 
 def _without_the_certificate(x, **options):
     """The hull with the rank certificate read as 0: every stage-2 ladder
-    then climbs until it is done, as each per-relation search did."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lattice, "rank_lower_bound", lambda *args: 0)
-        return hull.hull_matrix(x, **options)
+    then climbs until it is done, as each per-relation search did.  The
+    relation caches are emptied before, so the hull is searched again, and
+    after, so no later call is served this answer."""
+    rel.clear_caches()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice, "rank_lower_bound", lambda *args: 0)
+            return hull.hull_matrix(x, **options)
+    finally:
+        rel.clear_caches()
 
 
 def test_the_early_stop_changes_no_corpus_hull():
@@ -306,6 +312,7 @@ def test_stage2_climbs_one_rung_per_relation_on_the_corpus(monkeypatch):
     for entry in corpus.CORPUS:
         for options in _corpus_calls(entry):
             stages.clear()
+            rel.clear_caches()  # a hull at the same context would be a cache hit
             res = hull.hull_matrix(companion(entry.poly), **options)
             rho = len(res.witnesses["lambda_basis"])
             if rho:

@@ -9,6 +9,7 @@ mode must match proven mode.
 
 import collections
 import functools
+import math
 import random
 
 import pytest
@@ -154,6 +155,43 @@ def test_proven_precision_strict_inequality():
         assert k == 1 or p ** ((k - 1) * f_p) <= base**r
 
 
+def _precision_by_powers(p, f_p, base, r):
+    """proven_precision as it was: build base^r and step k until p^(k f_p)
+    exceeds it."""
+    target = max(int(base), 1) ** r
+    k = max(1, math.floor(r * math.log(max(base, 2)) / (f_p * math.log(p))) - 2)
+    while p ** (k * f_p) <= target:
+        k += 1
+    while k > 1 and p ** ((k - 1) * f_p) > target:
+        k -= 1
+    return k
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7, 11, 17, 31, 67, 101)), st.integers(1, 8),
+       st.one_of(st.integers(2, 10**6), st.integers(2, 2**200)),
+       st.one_of(st.integers(1, 720), st.sampled_from((5040, 40320))))
+def test_proven_precision_matches_building_the_powers(p, f_p, base, r):
+    assume(r * base.bit_length() <= 100_000)  # keeps the reference's powers small
+    assert rel.proven_precision(p, f_p, base, r) == _precision_by_powers(p, f_p, base, r)
+
+
+@pytest.mark.parametrize("p, f_p, base, r", [
+    (3, 1, 2, 3), (3, 2, 2, 3),  # 2^3 = 3^2 - 1
+    (2, 1, 3, 2), (2, 3, 3, 2),  # 3^2 = 2^3 + 1
+    (7, 2, -3, 5), (7, 2, 0, 5), (7, 2, 1, 720),  # base^r read as 1
+    # base^1 = p^j - 1, p^j, p^j + 1, with f_p | j
+    *[(p, f_p, p**j + d, 1) for p in (2, 3, 17) for f_p in (1, 2, 3)
+      for j in (6, 12, 60, 600) for d in (-1, 0, 1)],
+    # base^r = p^(k f_p) at r = 8!, the degree bound of an octic with no
+    # group order, and one below and above it
+    *[(p, f_p, p**j + d, 40320) for p, j in ((2, 5), (17, 3)) for f_p in (1, 2)
+      for d in (-1, 0, 1)],
+])
+def test_proven_precision_at_the_boundary(p, f_p, base, r):
+    assert rel.proven_precision(p, f_p, base, r) == _precision_by_powers(p, f_p, base, r)
+
+
 # -------------------------------------------------------------- zero test
 
 def test_exponent_polynomial_validation():
@@ -281,8 +319,8 @@ def test_a_search_runs_no_zero_test(monkeypatch):
 
 
 def test_each_search_prices_each_bound_once(monkeypatch):
-    # proven_precision builds base^r; a ladder calls it once per distinct
-    # base, where it once ran for every kept row on every rung (24 calls
+    # a ladder calls proven_precision once per distinct base, where it
+    # once ran for every kept row on every rung (24 calls
     # over 7 distinct arguments on this hull).  Stage 2 runs its ladders in
     # lockstep, so each call is counted for the ladder that is climbing.
     searches, current = [], []
