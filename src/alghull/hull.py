@@ -75,18 +75,18 @@ def hull_semisimple(x, mode: str = "proven", route: str = "lll", group=None, *,
     _check_options(mode, route)
     x = matrices.as_matrix(x)
     config = dict(prime=prime, seed=seed, group_order=group_order)
-    mp, powers = matrices._krylov(x)
+    mp, d, powers = matrices._krylov(x)
     if pol.degree(pol.squarefree_part(mp)) != pol.degree(mp):
         raise ValueError(
             "matrix is not semisimple; use hull_matrix for the general case"
         )
-    return _hull_semisimple(x, mp, mode, route, group, config, powers)
+    return _hull_semisimple(mp, d, powers, mode, route, group, config)
 
 
-def _hull_semisimple(x, mp, mode, route, group, config, powers=None) -> HullResult:
+def _hull_semisimple(mp, d, powers, mode, route, group, config) -> HullResult:
     """hull_semisimple for a matrix X whose minimal polynomial mp is
-    squarefree (the caller checks); powers, when given, are I, X, ...,
-    X^(deg mp - 1)."""
+    squarefree (the caller checks), given the integer powers P_i = (dX)^i,
+    i < deg mp (matrices._powers)."""
     c = pol.integral_scaling(mp)
     f = pol.to_int_coeffs(pol.scale_roots(mp, c))
     m = len(f) - 1
@@ -104,13 +104,13 @@ def _hull_semisimple(x, mp, mode, route, group, config, powers=None) -> HullResu
         upsilon = [tuple(Fraction(int(i == j)) for j in range(t + 1)) for i in range(t + 1)]
 
     # the coefficient vectors relative to powers of X itself: gamma_i (cX)^i
-    # = (gamma_i c^i) X^i
+    # = (gamma_i c^i) X^i = (gamma_i c^i / d^i) P_i, one integer combination
     upsilon_x = [tuple(Fraction(g) * Fraction(c) ** i for i, g in enumerate(gamma))
                  for gamma in upsilon]
-    if powers is None:
-        powers = matrices.powers(x, t + 1)
-    basis = [matrices.linear_combination(gamma, powers, len(x)) for gamma in upsilon_x]
-    span = matrices.MatrixSpan(basis, n=len(x))
+    n = len(powers[0])
+    basis = [matrices._combine([(u / d**i, p) for i, (u, p) in enumerate(zip(gamma, powers))], n)
+             for gamma in upsilon_x]
+    span = matrices.MatrixSpan(basis, n=n)
     return HullResult(
         span, lam_basis.certification, "relation-based",
         witnesses={
@@ -136,16 +136,17 @@ def hull_matrix(x, mode: str = "proven", route: str = "lll", group=None, *,
     # minimal polynomial of S is the squarefree part g of that of X.  When X
     # is semisimple (N = 0, so g = mp) its hull is built from the powers of
     # X the minimal polynomial's Krylov loop made.
-    mp, powers = matrices._krylov(x)
+    mp, d, powers = matrices._krylov(x)
     g = pol.squarefree_part(mp)
     s, n_part = matrices._jordan_decomposition(x, mp, g)
     if matrices.is_zero_matrix(n_part):
-        return _hull_semisimple(x, mp, mode, route, group, config, powers)
+        return _hull_semisimple(mp, d, powers, mode, route, group, config)
     if matrices.is_zero_matrix(s):
         span = matrices.MatrixSpan([n_part], n=len(x))
         return HullResult(span, "proven", "relation-based",
                           witnesses={"nilpotent_part": True})
-    semi = _hull_semisimple(s, g, mode, route, group, config)
+    semi = _hull_semisimple(g, *matrices._powers(s, pol.degree(g)), mode, route, group,
+                            config)
     span = matrices.span_sum(semi.span, matrices.MatrixSpan([n_part], n=len(x)))
     return HullResult(span, semi.certification, semi.route,
                       witnesses=dict(semi.witnesses, nilpotent_part=True))

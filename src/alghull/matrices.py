@@ -2,6 +2,10 @@
 Jordan decomposition, and spans of matrices with Lie bracket closure.
 
 Matrices are tuples of row tuples with Fraction (or int) entries.
+Products, brackets, linear combinations and the Krylov loop run on
+integer matrices: a rational matrix is d A for its least common
+denominator d, one integer product core (`_product`) multiplies, and
+one Fraction is built per output entry.
 """
 
 from __future__ import annotations
@@ -22,7 +26,14 @@ class DimensionError(ValueError):
 
 
 def as_matrix(rows: Iterable[Iterable]) -> Mat:
-    m = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    """rows as a tuple of row tuples of Fractions; a matrix that already is
+    one is returned as it is."""
+    if type(rows) is tuple and all(
+        type(row) is tuple and all(type(x) is Fraction for x in row) for row in rows
+    ):
+        m = rows
+    else:
+        m = tuple(tuple(Fraction(x) for x in row) for row in rows)
     if m and any(len(row) != len(m[0]) for row in m):
         raise DimensionError("ragged matrix")
     return m
@@ -60,6 +71,31 @@ def _numerators(a: Mat) -> tuple[int, list[list[int]]]:
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in a]
 
 
+def _fractions(a, d: int) -> Mat:
+    """The integer matrix A over d, one Fraction per entry."""
+    return tuple(tuple(Fraction(x, d) for x in row) for row in a)
+
+
+def _product(a, b) -> list[list[int]]:
+    """The integer matrix product A B: the one product core of mat_mul,
+    lie_bracket, powers and the Krylov loop."""
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+
+
+def _combine(terms, n: int) -> Mat:
+    """sum(c * M for c, M in terms) for rational c and integer n x n M: one
+    integer accumulation over the least common denominator of the c, one
+    Fraction per entry."""
+    terms = [(c, m) for c, m in terms if c]
+    d = math.lcm(*(c.denominator for c, _ in terms))
+    acc = [[0] * n for _ in range(n)]
+    for c, m in terms:
+        k = c.numerator * (d // c.denominator)
+        acc = [[x + k * y for x, y in zip(ra, rm)] for ra, rm in zip(acc, m)]
+    return _fractions(acc, d)
+
+
 def mat_mul(a: Mat, b: Mat) -> Mat:
     """Exact product, fraction-free: the integer numerators of A and B over
     one common denominator each are multiplied, and each output entry
@@ -68,12 +104,7 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
         raise DimensionError("incompatible shapes for multiplication")
     da, na = _numerators(a)
     db, nb = _numerators(b)
-    d = da * db
-    cols = list(zip(*nb))
-    return tuple(
-        tuple(Fraction(sum(map(operator.mul, row, col)), d) for col in cols)
-        for row in na
-    )
+    return _fractions(_product(na, nb), da * db)
 
 
 def is_zero_matrix(a: Mat) -> bool:
@@ -104,21 +135,34 @@ def mat_inverse(a: Mat) -> Mat:
     return tuple(row[n:] for row in reduced)
 
 
+def _int_identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _powers(x: Mat, count: int) -> tuple[int, list[list[list[int]]]]:
+    """(d, [P_0, ..., P_(count-1)]) with P_i = (dX)^i as integer matrices
+    and d the least common denominator of X (P_0 = I even for count 0)."""
+    d, dx = _numerators(x)
+    out = [_int_identity(len(x))]
+    for _ in range(count - 1):
+        out.append(_product(out[-1], dx))
+    return d, out
+
+
 def powers(x: Mat, count: int) -> list[Mat]:
     """[I, X, ..., X^(count-1)]."""
-    out = [identity(len(x))]
-    for _ in range(count - 1):
-        out.append(mat_mul(out[-1], x))
-    return out
+    d, out = _powers(x, count)
+    return [_fractions(p, d**i) for i, p in enumerate(out)]
 
 
 def linear_combination(coeffs: Sequence, mats: Sequence[Mat], n: int) -> Mat:
     """sum(c_i * M_i) over n x n matrices."""
-    acc = zero(n)
+    terms = []
     for c, m in zip(coeffs, mats):
         if c:
-            acc = mat_add(acc, mat_scale(m, c))
-    return acc
+            d, nm = _numerators(m)
+            terms.append((Fraction(c, d), nm))
+    return _combine(terms, n)
 
 
 def eval_poly(f, x: Mat) -> Mat:
@@ -178,29 +222,36 @@ def min_poly(x: Mat):
     return _krylov(x)[0]
 
 
-def _krylov(x: Mat) -> tuple[tuple, list[Mat]]:
-    """(min_poly(X), [I, X, ..., X^t]) with t+1 the degree of the minimal
-    polynomial: the powers the Krylov loop makes on the way, one product
-    per power."""
+def _krylov(x: Mat) -> tuple[tuple, int, list[list[list[int]]]]:
+    """(min_poly(X), d, [P_0, ..., P_t]) with t+1 the degree of the minimal
+    polynomial, d the least common denominator of X and P_i = (dX)^i: the
+    integer powers the Krylov loop makes on the way, one product per
+    power."""
     if not is_square(x):
         raise DimensionError("minimal polynomial needs a square matrix")
     n = len(x)
     if n == 0:
-        return (1,), []
+        return (Fraction(1),), 1, []
+    d, dx = _numerators(x)
     echelon = linalg.Echelon(n * n, track=True)
-    power, found = identity(n), []
+    power, found = _int_identity(n), []
     while True:
-        coeffs = echelon.express_or_add(flatten(power))
-        if coeffs is not None:
-            # X^(t+1) = sum c_i X^i  ->  min poly = x^(t+1) - sum c_i x^i
-            return tuple(-c for c in coeffs) + (Fraction(1),), found
+        dependency = echelon._express([y for row in power for y in row])
+        if dependency is not None:
+            # P_m = -sum(a_i P_i) / b, m = t+1, so X^m = -sum(a_i X^i) /
+            # (b d^(m-i)) and the min poly is x^m + sum(a_i x^i / (b d^(m-i)))
+            a, b = dependency
+            m = len(a)
+            return (tuple(Fraction(ai, b * d ** (m - i)) for i, ai in enumerate(a))
+                    + (Fraction(1),), d, found)
         found.append(power)
-        power = mat_mul(power, x)
+        power = _product(power, dx)
 
 
 def power_basis(x: Mat) -> "MatrixSpan":
     """[I, X, ..., X^t] with t+1 the degree of the minimal polynomial."""
-    return MatrixSpan(_krylov(x)[1], n=len(x))
+    _, d, found = _krylov(x)
+    return MatrixSpan([_fractions(p, d**i) for i, p in enumerate(found)], n=len(x))
 
 
 def jordan_decomposition(x: Mat) -> tuple[Mat, Mat]:
@@ -210,6 +261,7 @@ def jordan_decomposition(x: Mat) -> tuple[Mat, Mat]:
     S is computed by Newton iteration on the squarefree part g of the
     minimal polynomial: S <- S - g(S) g'(S)^-1, staying inside A_Q(X).
     """
+    x = as_matrix(x)
     if not is_square(x):
         raise DimensionError("Jordan decomposition needs a square matrix")
     mp = min_poly(x)
@@ -252,9 +304,14 @@ def companion(f) -> Mat:
 
 
 def lie_bracket(a: Mat, b: Mat) -> Mat:
+    """AB - BA: two integer products over one common denominator."""
     if len(a) != len(b) or not is_square(a) or not is_square(b):
         raise DimensionError("Lie bracket needs square matrices of equal size")
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+    da, na = _numerators(a)
+    db, nb = _numerators(b)
+    d = da * db
+    return tuple(tuple(Fraction(x - y, d) for x, y in zip(ra, rb))
+                 for ra, rb in zip(_product(na, nb), _product(nb, na)))
 
 
 def _ambient_dimension(mats: list, n: int | None) -> int:

@@ -4,10 +4,16 @@ the bench CSV format.
 
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
+import pytest
 from click.testing import CliRunner
 
-from alghull import hull, lattice
+import alghull
+from alghull import hull, lattice, matrices
 from alghull import relations as rel
 from alghull.cli import main
 
@@ -401,3 +407,35 @@ def test_bench_isolates_bad_entries(tmp_path):
     assert result.exit_code == 0
     assert "error" in result.output
     assert result.output.count("x^2-2") == 2
+
+
+def _cli_json(args, payload, optimize):
+    """The JSON that `python [-O] -m alghull.cli ARGS` prints for the payload
+    on stdin, without its timings."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(alghull.__file__).parents[1]))
+    flags = ["-O"] if optimize else []
+    done = subprocess.run([sys.executable, *flags, "-m", "alghull.cli", *args, "-"],
+                          input=json.dumps(payload), capture_output=True, text=True,
+                          env=env, timeout=300, check=True)
+    data = json.loads(done.stdout)
+    del data["timings"]
+    return data
+
+
+@pytest.mark.parametrize("poly,order", [((-2, 0, 0, 0, 1), 8), ((-2, 0, 0, 0, 0, 0, 1), 12)],
+                         ids=["x^4-2", "x^6-2"])
+def test_cli_answers_the_same_under_python_O(poly, order):
+    """No check may rest on assert or __debug__, which python -O strips: the
+    hull and the relations of x^4-2 and x^6-2 come out the same."""
+    n = len(poly) - 1
+    matrix = [[str(v) for v in row] for row in matrices.companion(poly)]
+    targets = [[[1, [int(i == j) for j in range(n)]]] for i in range(n)]
+    for args, payload in ((["hull", "--group-order", str(order)], {"matrix": matrix}),
+                          (["relations", "--group-order", str(order)],
+                           {"poly": list(poly), "targets": targets})):
+        plain = _cli_json(args, payload, optimize=False)
+        assert _cli_json(args, payload, optimize=True) == plain
+        assert plain["certification"] == "proven"
+    flag = subprocess.run([sys.executable, "-O", "-c", "import sys; print(sys.flags.optimize)"],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert flag.stdout.strip() == "1"

@@ -2,9 +2,10 @@
 
 `mat_mul` multiplies integer numerators over one common denominator per
 factor; `_ref_mat_mul` is the plain sum of Fraction products it replaced.
-For a semisimple X, `hull_matrix` builds the hull from the powers of X
-that the Krylov loop of the minimal polynomial already made, so it
-multiplies matrices exactly deg(min_poly) times.
+For a semisimple X, `hull_matrix` builds the hull from the integer powers
+of dX that the Krylov loop of the minimal polynomial already made, so it
+runs the integer product core `matrices._product`, which `mat_mul` runs
+too, exactly deg(min_poly) times.
 """
 
 from fractions import Fraction
@@ -16,13 +17,7 @@ from hypothesis import strategies as st
 import corpus
 from alghull import hull, matrices
 from alghull import polynomials as pol
-
-
-def _ref_mat_mul(a, b):
-    return tuple(tuple(sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)),
-                           Fraction(0))
-                       for col in zip(*b)) for row in a)
-
+from fraction_linalg import mat_mul as _ref_mat_mul
 
 ENTRIES = st.one_of(
     st.integers(-5, 5),
@@ -83,14 +78,14 @@ def test_mat_mul_rejects_incompatible_shapes():
 def test_semisimple_hull_multiplies_deg_min_poly_times(entry):
     x = matrices.companion(entry.poly)
     calls = []
-    real = matrices.mat_mul
+    real = matrices._product
 
     def counted(a, b):
         calls.append(1)
         return real(a, b)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(matrices, "mat_mul", counted)
+        mp.setattr(matrices, "_product", counted)
         res = hull.hull_matrix(x, group_order=entry.group_order)
     degree = pol.degree(matrices.min_poly(x))
     assert len(calls) == degree

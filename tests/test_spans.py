@@ -4,9 +4,10 @@ it replaced.
 The reference functions below are the earlier implementations: `span_of`
 decided membership by comparing `rref` ranks, `bracket_closure` rebuilt the
 span with that `span_of` after every round, and `min_poly` solved for the
-coefficients of each new power by a fresh elimination.  The kernel must
-pick the same basis in the same order and give the same minimal
-polynomial.
+coefficients of each new power by a fresh elimination.  Their `rref` is
+the Fraction Gauss-Jordan reference of tests/fraction_linalg.py, not the
+library's, which runs on the echelon kernel.  The kernel must pick the
+same basis in the same order and give the same minimal polynomial.
 """
 
 from fractions import Fraction
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fraction_linalg as ref
 from alghull import linalg, matrices
 from alghull import polynomials as pol
 
@@ -22,7 +24,7 @@ from alghull import polynomials as pol
 
 
 def _ref_rank(rows):
-    return len(linalg.rref(rows)[0])
+    return len(ref.rref(rows)[0])
 
 
 def _ref_in_rowspace(rows, v):
@@ -64,7 +66,7 @@ def _ref_solve_combination(rows, v):
     ncols = len(rows[0])
     aug = [[Fraction(rows[i][j]) for i in range(nrows)] + [Fraction(v[j])]
            for j in range(ncols)]
-    reduced, pivots = linalg.rref(aug)
+    reduced, pivots = ref.rref(aug)
     sol = [Fraction(0)] * nrows
     for row, pj in zip(reduced, pivots):
         if pj == nrows:
