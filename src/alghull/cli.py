@@ -34,6 +34,14 @@ def _read_json(source):
         return json.load(fh)
 
 
+def _expect(value, kind, what):
+    """value, or a ValueError (exit 2) unless it is a JSON array (kind
+    list) or object (kind dict)."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {'array' if kind is list else 'object'}")
+    return value
+
+
 def _emit(data, out):
     text = json.dumps(data, indent=2, sort_keys=True) + "\n"
     if out:
@@ -52,7 +60,8 @@ def _frac_str(x) -> str:
 
 
 def _parse_matrix(rows):
-    return matrices.as_matrix([[_frac(x) for x in row] for row in rows])
+    return matrices.as_matrix([[_frac(x) for x in _expect(row, list, "a matrix row")]
+                               for row in _expect(rows, list, "a matrix")])
 
 
 def _matrix_json(m):
@@ -67,17 +76,24 @@ def _int(x) -> int:
 
 
 def _parse_poly(coeffs):
-    return tuple(_int(c) for c in coeffs)
+    return tuple(_int(c) for c in _expect(coeffs, list, "a polynomial"))
 
 
 def _parse_target(terms) -> rel.ExponentPolynomial:
-    return rel.ExponentPolynomial(
-        tuple((int(c), tuple(int(e) for e in exps)) for c, exps in terms)
-    )
+    parsed = []
+    for term in _expect(terms, list, "a target"):
+        if len(_expect(term, list, "a target term")) != 2:
+            raise ValueError("a target term must be a [coefficient, exponents] pair")
+        c, exps = term
+        parsed.append((_int(c), tuple(_int(e) for e in _expect(exps, list, "an exponent vector"))))
+    return rel.ExponentPolynomial(tuple(parsed))
 
 
-def _parse_group(path, degree):
-    return galois_mod.PermGroup.from_images(degree, _read_json(path))
+def _parse_group(images, degree):
+    """The group of 1-indexed one-line images (a JSON array of arrays)."""
+    return galois_mod.PermGroup.from_images(degree, [
+        [_int(i) for i in _expect(im, list, "a group generator")]
+        for im in _expect(images, list, "a group")])
 
 
 def _bounds_json(b: rel.BoundData):
@@ -93,9 +109,8 @@ def _settings(data, mode, prime, seed):
     key."""
     mode = mode or data.get("mode", "proven")
     prime = prime if prime is not None else data.get("prime")
-    if prime == "auto":
-        prime = None
-    seed = seed if seed is not None else data.get("seed", 0)
+    prime = None if prime in (None, "auto") else _int(prime)
+    seed = _int(seed if seed is not None else data.get("seed", 0))
     return mode, prime, seed
 
 
@@ -135,19 +150,19 @@ def cmd_hull(source, mode, prime, seed, out, group_path, group_order):
     """Algebraic hull of a matrix or a Lie algebra of matrices."""
 
     def go():
-        data = _read_json(source)
+        data = _expect(_read_json(source), dict, "the input")
         mode_, prime_, seed_ = _settings(data, mode, prime, seed)
         cfg = dict(mode=mode_, prime=prime_, seed=seed_, group_order=group_order)
         t0 = time.perf_counter()
         if "matrix" in data:
             x = _parse_matrix(data["matrix"])
-            group = _parse_group(group_path, len(x)) if group_path else None
+            group = _parse_group(_read_json(group_path), len(x)) if group_path else None
             route = "galois" if group is not None else "lll"
             res = hull_mod.hull_matrix(x, route=route, group=group, **cfg)
         elif "lie_algebra" in data:
             if group_path:
                 raise ValueError("--group needs a single \"matrix\"; a Lie algebra takes none")
-            gens = [_parse_matrix(m) for m in data["lie_algebra"]]
+            gens = [_parse_matrix(m) for m in _expect(data["lie_algebra"], list, "a Lie algebra")]
             res = hull_mod.hull_lie_algebra(gens, **cfg)
         else:
             raise ValueError('input needs a "matrix" or "lie_algebra" key')
@@ -179,17 +194,15 @@ def cmd_relations(source, mode, prime, seed, out, group_path, group_order):
     """Z-basis of the integer relation lattice of the targets."""
 
     def go():
-        data = _read_json(source)
+        data = _expect(_read_json(source), dict, "the input")
         f = _parse_poly(data["poly"])
-        targets = rel.TargetSet(f, tuple(_parse_target(t) for t in data["targets"]))
+        targets = rel.TargetSet(f, tuple(
+            _parse_target(t) for t in _expect(data["targets"], list, "the targets")))
         mode_, prime_, seed_ = _settings(data, mode, prime, seed)
         t0 = time.perf_counter()
         gp = group_path or data.get("group")
         if gp:
-            if isinstance(gp, str):
-                group = _parse_group(gp, len(f) - 1)
-            else:
-                group = galois_mod.PermGroup.from_images(len(f) - 1, gp)
+            group = _parse_group(_read_json(gp) if isinstance(gp, str) else gp, len(f) - 1)
             basis = rel.find_relations_galois(
                 targets, group, mode=mode_, prime=prime_,
                 group_order=group_order, seed=seed_)
@@ -221,13 +234,13 @@ def cmd_iszero(source, mode, prime, seed, out, group_order):
     """Provably decide whether a target expression in the roots is zero."""
 
     def go():
-        data = _read_json(source)
+        data = _expect(_read_json(source), dict, "the input")
         f = _parse_poly(data["poly"])
         g = _parse_target(data["target"])
         mode_, prime_, seed_ = _settings(data, mode, prime, seed)
         kw = {}
         if mode_ == "heuristic":
-            kw["k"] = int(data.get("k", 4))
+            kw["k"] = _int(data.get("k", 4))
         t0 = time.perf_counter()
         answer, bounds = rel.zero_test(g, f, mode=mode_, prime=prime_,
                                        group_order=group_order,
@@ -251,8 +264,8 @@ def cmd_lll(source, delta, out):
     """LLL-reduce a basis matrix (JSON array of arrays of integers)."""
 
     def go():
-        rows = _read_json(source)
-        basis = [[_int(x) for x in row] for row in rows]
+        rows = _expect(_read_json(source), list, "the input")
+        basis = [[_int(x) for x in _expect(row, list, "a basis row")] for row in rows]
         reduced = lattice.lll_reduce(basis, delta=Fraction(str(delta)))
         _emit([[str(x) for x in row] for row in reduced], out)
 
@@ -282,8 +295,8 @@ def _oracle_cmd(name, degree, fn):
     @click.option("--out", type=click.Path(), default=None)
     def cmd(source, trust_assertion, out):
         def go():
-            data = _read_json(source)
-            f = [Fraction(str(c)) for c in data["poly"]]
+            data = _expect(_read_json(source), dict, "the input")
+            f = [Fraction(str(c)) for c in _expect(data["poly"], list, "a polynomial")]
             asserted = trust_assertion or bool(data.get("assert_group"))
             oh = fn(f, assert_group=asserted)
             _emit({

@@ -1,8 +1,9 @@
 """Polynomial arithmetic over F_p.
 
 F_p[t] polynomials are tuples of ints in [0, p), constant term first.
-Arithmetic in GF(p^m) itself runs on padic.UnramifiedRing at precision 1;
-gf_inverse supplies its residue inverses.
+Arithmetic in GF(p^m) = F_p[t]/(omega) itself runs on coefficient tuples
+in padic's flat kernel (padic._mul at modulus p); gf_inverse supplies its
+inverses and power its powers.
 """
 
 from __future__ import annotations
@@ -89,8 +90,9 @@ def gf_inverse(a, modulus, p):
 def power(base, e: int, mul):
     """base^e for e >= 1 under an associative product mul, by
     square-and-multiply with no product by one and no squaring past the
-    top bit of e.  The one such loop: gf_powmod, padic._powmod and
-    PadicElement.__pow__ run on it."""
+    top bit of e.  The one such loop: gf_powmod, padic._powmod (powers of
+    polynomials over GF(p^m)), padic.frobenius_perm (powers in GF(p^m))
+    and PadicElement.__pow__ run on it."""
     result = None
     while True:
         if e & 1:

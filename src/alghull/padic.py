@@ -6,8 +6,11 @@ mod p.  Elements are coefficient tuples of length f_p with entries in
 [0, p^k).  The same integer lift of omega (entries in [0, p)) is reused at
 every precision, so roots lifted at different precisions stay compatible.
 
-The residue field GF(p^f_p) is the ring at precision 1: residue_roots
-finds the roots of f there, and lift_roots Hensel-lifts them.
+The residue field GF(p^f_p) = F_p[t]/(omega) runs on coefficient tuples
+through the flat kernel the Newton lift runs on (_mul, _horner):
+residue_roots finds the roots of f there, lift_roots Hensel-lifts them and
+frobenius_perm permutes them.  Only target evaluation (eval_target) builds
+a PadicElement per operation.
 
 Callers reach roots through a RootContext (see root_context): one per
 polynomial, prime and seed, holding the prime selection, omega, the
@@ -147,33 +150,18 @@ def select_prime(f: Sequence[int], prefer: str = "min") -> PrimeSelection:
 # ------------------------------------------------------------------- ring
 
 class UnramifiedRing:
-    """(Z/p^k)[t]/(omega): precision-k model of the unramified extension."""
+    """(Z/p^k)[t]/(omega): precision-k model of the unramified extension.
 
-    def __init__(self, p: int, k: int, omega: Sequence[int]):
-        if not _is_prime(p):
-            raise PadicError(f"{p} is not a prime")
-        self._setup(p, k, omega)
-        if not gf.gf_is_irreducible(self.omega, p):
-            raise PadicError("defining polynomial is reducible mod p")
+    Made by build_unramified, over the monic omega that gf.find_irreducible
+    found and tested irreducible mod p; at_precision keeps that omega.
+    """
 
-    @classmethod
-    def _over_irreducible(cls, p: int, k: int, omega: Sequence[int]) -> "UnramifiedRing":
-        """The ring over an omega that gf.find_irreducible found (and so
-        tested) at a prime p; it is not tested again."""
-        ring = cls.__new__(cls)
-        ring._setup(p, k, omega)
-        return ring
-
-    def _setup(self, p: int, k: int, omega: Sequence[int]) -> None:
+    def __init__(self, p: int, k: int, omega: tuple[int, ...]):
         if k < 1:
             raise PadicError("precision exponent must be >= 1")
-        self.p = p
-        self.k = k
-        self.modulus = p**k
-        self.omega = tuple(int(c) % p for c in omega)
-        if self.omega[-1] != 1:
-            raise PadicError("defining polynomial must be monic")
-        self.degree = len(self.omega) - 1
+        self.p, self.k, self.modulus = p, k, p**k
+        self.omega = omega
+        self.degree = len(omega) - 1
 
     def __eq__(self, other):
         return (
@@ -207,9 +195,6 @@ class UnramifiedRing:
 
     def zero(self) -> "PadicElement":
         return PadicElement(self, (0,) * self.degree)
-
-    def one(self) -> "PadicElement":
-        return self.element((1,))
 
     def from_int(self, a: int) -> "PadicElement":
         return self.element((a,))
@@ -252,67 +237,34 @@ class PadicElement:
             self.ring, tuple((a + b) % m for a, b in zip(self.coeffs, other.coeffs))
         )
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        m = self.ring.modulus
-        return PadicElement(
-            self.ring, tuple((a - b) % m for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self):
-        m = self.ring.modulus
-        return PadicElement(self.ring, tuple((-a) % m for a in self.coeffs))
-
     def __mul__(self, other):
         other = self._coerce(other)
         ring = self.ring
         return PadicElement(ring, _mul(self.coeffs, other.coeffs, ring.omega, ring.modulus))
 
     def _coerce(self, other):
-        if isinstance(other, PadicElement):
-            if other.ring is not self.ring and other.ring != self.ring:
-                raise PadicError("elements from different rings")
-            return other
-        if isinstance(other, int):
-            return self.ring.from_int(other)
-        return NotImplemented
-
-    __radd__ = __add__
-    __rmul__ = __mul__
+        if not isinstance(other, PadicElement):
+            raise TypeError(f"a PadicElement does not combine with {type(other).__name__}")
+        if other.ring is not self.ring and other.ring != self.ring:
+            raise PadicError("elements from different rings")
+        return other
 
     def __pow__(self, e: int) -> "PadicElement":
         """self^e for e >= 0 (gf.power)."""
         if e < 0:
             raise ValueError("negative exponent")
-        return gf.power(self, e, PadicElement.__mul__) if e else self.ring.one()
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return gf.power(self, e, PadicElement.__mul__) if e else self.ring.from_int(1)
 
     def residue(self) -> tuple[int, ...]:
         return tuple(c % self.ring.p for c in self.coeffs)
 
 
-def valuation(x, p: int | None = None, k: int | None = None) -> int:
-    """Largest m <= k with x == 0 mod p^m; the return value k means ">= k".
-
-    Accepts a PadicElement (p, k taken from its ring) or a plain integer
-    with explicit p (and optionally a cap k).
-    """
-    if isinstance(x, PadicElement):
-        p, k = x.ring.p, x.ring.k
-        coeffs = x.coeffs
-    else:
-        if p is None:
-            raise ValueError("valuation of an integer needs the prime p")
-        coeffs = (int(x) % (p**k) if k is not None else int(x),)
-    vals = [lattice.p_valuation(c, p) for c in coeffs if c]
-    if not vals:
-        # identically zero at the stored precision
-        if k is None:
-            raise ValueError("valuation of exact zero is unbounded; supply a cap k")
-        return k
-    return min(min(vals), k) if k is not None else min(vals)
+def valuation(x: PadicElement) -> int:
+    """Largest m <= k with x == 0 mod p^m, for x in a ring of precision k;
+    the return value k means ">= k" (lattice.p_valuation values integers)."""
+    p, k = x.ring.p, x.ring.k
+    vals = [lattice.p_valuation(c, p) for c in x.coeffs if c]
+    return min(min(vals), k) if vals else k
 
 
 # ------------------------------------------------------------------ roots
@@ -325,7 +277,7 @@ def build_unramified(p: int, f_p: int, k: int, seed: int = 0) -> UnramifiedRing:
     """
     if not _is_prime(p):
         raise PadicError(f"{p} is not a prime")
-    return UnramifiedRing._over_irreducible(p, k, gf.find_irreducible(p, f_p, seed=seed))
+    return UnramifiedRing(p, k, gf.find_irreducible(p, f_p, seed=seed))
 
 
 @dataclass(frozen=True)
@@ -342,8 +294,10 @@ class ApproxRoots:
         return self.ring.k
 
 
-# Polynomials over the residue field are lists of elements of one ring at
-# precision 1, constant term first, with no zero leading coefficient.
+# The residue field GF(p^f_p) = F_p[t]/(omega) runs on the flat kernel at
+# modulus p: an element is a coefficient tuple of length deg omega with
+# entries in [0, p), and a polynomial over the field is a list of elements,
+# constant term first, with no zero leading coefficient.
 
 # A random shift splits a split squarefree polynomial of degree >= 2 with
 # probability about 1/2; equal-degree splitting gives up after this many
@@ -358,108 +312,115 @@ SPLIT_TRIALS = 200
 EXHAUSTIVE_PER_ROOT = 32
 
 
+def _inverse(a: tuple[int, ...], omega: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """a^-1 in the residue field (gf.gf_inverse), padded to length deg omega."""
+    y = gf.gf_inverse(a, omega, p)
+    return y + (0,) * (len(omega) - 1 - len(y))
+
+
 def _trim(f: list) -> list:
-    while f and f[-1].is_zero():
+    while f and not any(f[-1]):
         f.pop()
     return f
 
 
-def _divmod_monic(f: list, g: list) -> tuple[list, list]:
+def _divmod_monic(f: list, g: list, omega, p) -> tuple[list, list]:
     """Quotient and remainder of f by a monic g."""
     r = list(f)
     d = len(g) - 1
     q = [None] * max(len(r) - d, 0)
     for i in range(len(q) - 1, -1, -1):
         c = q[i] = r[i + d]
-        if not c.is_zero():
+        if any(c):
             for j in range(d):
-                r[i + j] = r[i + j] - c * g[j]
+                r[i + j] = tuple((a - b) % p for a, b in zip(r[i + j], _mul(c, g[j], omega, p)))
     return _trim(q), _trim(r[:d])
 
 
-def _mulmod(a: list, b: list, g: list) -> list:
+def _mulmod(a: list, b: list, g: list, omega, p) -> list:
     """a * b mod a monic g."""
     if not a or not b:
         return []
-    out = [a[0].ring.zero()] * (len(a) + len(b) - 1)
+    out = [(0,) * len(a[0])] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if not x.is_zero():
+        if any(x):
             for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-    return _divmod_monic(out, g)[1]
+                out[i + j] = tuple((s + t) % p for s, t in zip(out[i + j], _mul(x, y, omega, p)))
+    return _divmod_monic(out, g, omega, p)[1]
 
 
-def _powmod(a: list, e: int, g: list) -> list:
+def _powmod(a: list, e: int, g: list, omega, p) -> list:
     """a^e mod a monic g, for e >= 1 (gf.power)."""
-    return gf.power(_divmod_monic(a, g)[1], e, lambda x, y: _mulmod(x, y, g))
+    return gf.power(_divmod_monic(a, g, omega, p)[1], e,
+                    lambda x, y: _mulmod(x, y, g, omega, p))
 
 
-def _monic_gcd(a: list, b: list) -> list:
-    """Monic gcd of a monic a and any b, over the residue field."""
-    ring = a[0].ring
+def _monic_gcd(a: list, b: list, omega, p) -> list:
+    """Monic gcd of a monic a and any b."""
     while b:
-        inv = ring.element(gf.gf_inverse(b[-1].coeffs, ring.omega, ring.p))
-        a, b = [c * inv for c in b], a
-        b = _divmod_monic(b, a)[1]
+        inv = _inverse(b[-1], omega, p)
+        a, b = [_mul(c, inv, omega, p) for c in b], a
+        b = _divmod_monic(b, a, omega, p)[1]
     return a
 
 
-def residue_roots(f: list, seed: int = 0) -> list:
-    """All roots of a squarefree monic f that splits over the residue field.
+def residue_roots(f: Sequence[int], p: int, omega: tuple[int, ...],
+                  seed: int = 0) -> list[tuple[int, ...]]:
+    """All roots, as coefficient tuples, of a squarefree monic integral f
+    that splits over the residue field F_p[t]/(omega).
 
-    f is a polynomial over one ring at precision 1.  A field of q elements
-    is searched exhaustively when q <= EXHAUSTIVE_PER_ROOT deg f, where
-    that is the faster search, and in characteristic 2 up to 4096
-    elements, where splitting cannot run; otherwise f is split by
-    equal-degree splitting (seeded, Las Vegas) once it is known to divide
-    x^q - x.  Raises ValueError when f does not split into distinct
-    linear factors.
+    A field of q elements is searched exhaustively (_horner) when
+    q <= EXHAUSTIVE_PER_ROOT deg f, where that is the faster search, and
+    in characteristic 2 up to 4096 elements, where splitting cannot run;
+    otherwise f is split by equal-degree splitting (seeded, Las Vegas)
+    once it is known to divide x^q - x.  Raises ValueError when f does not
+    split into distinct linear factors.
     """
     n = len(f) - 1
     if n <= 0:
         return []
-    ring = f[0].ring
-    q = ring.p**ring.degree
-    if q <= EXHAUSTIVE_PER_ROOT * n or (ring.p == 2 and q <= 4096):
-        roots = []
-        for coords in itertools.product(range(ring.p), repeat=ring.degree):
-            a = PadicElement(ring, coords)
-            if pol.evaluate(f, a).is_zero():
-                roots.append(a)
+    d = len(omega) - 1
+    q = p**d
+    if q <= EXHAUSTIVE_PER_ROOT * n or (p == 2 and q <= 4096):
+        roots = [a for a in itertools.product(range(p), repeat=d)
+                 if not any(_horner(f, a, omega, p))]
     else:
-        # f splits into distinct linear factors iff it divides x^q - x
-        x = [ring.zero(), ring.one()]
-        if _powmod(x, q, f) != _divmod_monic(x, f)[1]:
+        # f splits into distinct linear factors iff it divides x^q - x;
+        # from here on f is a polynomial over the field
+        zeros = (0,) * (d - 1)
+        f = [(c % p,) + zeros for c in f]
+        x = [(0,) + zeros, (1,) + zeros]
+        if _powmod(x, q, f, omega, p) != _divmod_monic(x, f, omega, p)[1]:
             raise ValueError("polynomial does not split over this field")
         roots = []
-        _split_collect(f, random.Random((seed, ring.p, ring.degree).__hash__()), roots)
+        _split_collect(f, omega, p, random.Random((seed, p, d).__hash__()), roots)
     if len(roots) != n:
         raise ValueError("polynomial does not split over this field")
     return roots
 
 
-def _split_collect(f: list, rng: random.Random, out: list) -> None:
-    """Append the roots of a monic f that splits into distinct linear
-    factors, by equal-degree splitting with at most SPLIT_TRIALS random
-    shifts per factor."""
+def _split_collect(f: list, omega, p, rng: random.Random, out: list) -> None:
+    """Append the roots of a monic f over the residue field that splits
+    into distinct linear factors, by equal-degree splitting with at most
+    SPLIT_TRIALS random shifts per factor."""
     n = len(f) - 1
     if n == 0:
         return
     if n == 1:
-        out.append(-f[0])
+        out.append(tuple(-c % p for c in f[0]))
         return
-    ring = f[0].ring
-    if ring.p == 2:  # the exhaustive search covers every field of size <= 4096
+    if p == 2:  # the exhaustive search covers every field of size <= 4096
         raise ValueError("equal-degree splitting needs an odd characteristic")
-    one, half = ring.one(), (ring.p**ring.degree - 1) // 2
+    d = len(omega) - 1
+    one, half = (1,) + (0,) * (d - 1), (p**d - 1) // 2
     for _ in range(SPLIT_TRIALS):
-        shift = PadicElement(ring, tuple(rng.randrange(ring.p) for _ in range(ring.degree)))
-        h = _powmod([shift, one], half, f)
-        h = _trim([h[0] - one] + h[1:]) if h else [-one]
-        g = _monic_gcd(f, h)
+        shift = tuple(rng.randrange(p) for _ in range(d))
+        h = _powmod([shift, one], half, f, omega, p)  # then h - 1
+        h = _trim([((h[0][0] - 1) % p,) + h[0][1:]] + h[1:]) if h else [(p - 1,) + one[1:]]
+        g = _monic_gcd(f, h, omega, p)
         if 0 < len(g) - 1 < n:
-            _split_collect(g, rng, out)
-            _split_collect(_divmod_monic(f, g)[0], rng, out)
+            _split_collect(g, omega, p, rng, out)
+            _split_collect(_divmod_monic(f, g, omega, p)[0], omega, p, rng, out)
             return
     raise ValueError(f"no split of a degree-{n} factor in {SPLIT_TRIALS} random trials")
 
@@ -467,16 +428,16 @@ def _split_collect(f: list, rng: random.Random, out: list) -> None:
 def lift_roots(f: Sequence[int], ring: UnramifiedRing, seed: int = 0) -> ApproxRoots:
     """All roots of f in the ring, Hensel-lifted to precision k.
 
-    Roots are found in the residue field, the ring at precision 1 (see
-    residue_roots), and labeled once, sorted by their residue coordinate
-    vectors; lifting preserves that labeling.
+    Roots are found in the residue field as coefficient tuples (see
+    residue_roots), and labeled once, sorted by those tuples; lifting
+    preserves that labeling.
     """
     f = tuple(int(c) for c in f)
     if f[-1] != 1:
         raise PadicError("polynomial must be monic")
     base = ring.at_precision(1)
     try:
-        residues = residue_roots([base.from_int(c) for c in f], seed=seed)
+        residues = residue_roots(f, ring.p, ring.omega, seed=seed)
     except ValueError:
         # f has n distinct residue roots only if it is squarefree mod p, so
         # admissibility is tested on failure alone: root_context has
@@ -484,7 +445,7 @@ def lift_roots(f: Sequence[int], ring: UnramifiedRing, seed: int = 0) -> ApproxR
         if not is_admissible(f, ring.p):
             raise PadicError(f"polynomial is not squarefree mod {ring.p}") from None
         raise
-    start = ApproxRoots(base, tuple(sorted(residues, key=lambda r: r.coeffs)), f)
+    start = ApproxRoots(base, tuple(PadicElement(base, r) for r in sorted(residues)), f)
     return increase_precision(start, ring.k)
 
 
@@ -509,10 +470,9 @@ def increase_precision(roots: ApproxRoots, k_new: int, inverses=None) -> ApproxR
     omega, flat, p = old.omega, old.degree == 1, old.p
     prec, points = old.k, [r.coeffs for r in roots.roots]
     if inverses is None:
-        prec, points, field = 1, [r.residue() for r in roots.roots], old.at_precision(1)
-        inverses = []
+        prec, points, inverses = 1, [r.residue() for r in roots.roots], []
         for a in points:
-            y = field.element(gf.gf_inverse(_horner(fprime, a, omega, p), omega, p)).coeffs
+            y = _inverse(_horner(fprime, a, omega, p), omega, p)
             inverses.append(y[0] if flat else y)
     alphas = [a[0] if flat else a for a in points]
     moduli = []
@@ -595,10 +555,10 @@ def frobenius_perm(roots: ApproxRoots) -> tuple[int, ...]:
     index = {res: i for i, res in enumerate(residues)}
     if len(index) != len(residues):
         raise PadicError("roots are not distinct mod p")
-    base = roots.ring.at_precision(1)
+    omega, p = roots.ring.omega, roots.ring.p
     images = []
     for res in residues:
-        target = (base.element(res) ** base.p).coeffs
+        target = gf.power(res, p, lambda a, b: _mul(a, b, omega, p))
         if target not in index:
             raise PadicError("Frobenius image does not match any root (corrupted roots)")
         images.append(index[target])

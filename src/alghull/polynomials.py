@@ -105,14 +105,6 @@ def derivative(f: Poly) -> Poly:
     return normalize([i * f[i] for i in range(1, len(f))])
 
 
-def evaluate(f: Poly, x):
-    """Horner evaluation; x may be any ring element supporting + and *."""
-    acc = 0
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
 def squarefree_part(f: Poly) -> Poly:
     """f / gcd(f, f'), made monic."""
     if not f:

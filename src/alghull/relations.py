@@ -529,16 +529,16 @@ def find_relations_lll(
 
 def find_relations_galois(
     targets: TargetSet,
-    group: "galois_mod.PermGroup",
+    group: "galois_mod.PermGroup | None" = None,
     mode: str = "proven",
     prime: int | None = None,
     group_order: int | None = None,
     seed: int = 0,
 ) -> RelationBasis:
     """Z-basis of the relation lattice at the context of largest residue
-    degree (prefer="max"), for a permutation group of the roots.
+    degree (prefer="max"), optionally for a permutation group of the roots.
 
-    The group must have degree deg f (ValueError otherwise), and PermGroup
+    A group must have degree deg f (ValueError otherwise), and PermGroup
     has checked that each generator is a permutation; then the search is
     _search, as on the LLL route.  The group adds no constraint.
     Frobenius is a Z/p^k-linear automorphism of the unramified ring, so
@@ -549,7 +549,7 @@ def find_relations_galois(
     search: the answer is "proven" in both modes.
     """
     check_mode(mode)
-    if group.degree != len(targets.f) - 1:
+    if group is not None and group.degree != len(targets.f) - 1:
         raise ValueError("group degree must equal deg f")
     ctx = padic.root_context(targets.f, prime, prefer="max", seed=seed)
     bounds = _shared_bounds(targets, group_order, ctx.f_p, _scan_lcm(ctx.selection, prime))

@@ -51,6 +51,17 @@ def group_for(entry: Entry, seed: int = 0):
         padic.root_context(entry.poly, prefer="max", seed=seed))
 
 
+def horner(f, alpha):
+    """f(alpha) for an integral f (constant term first) at a PadicElement
+    alpha, by element * and + only: the Hensel-residual oracle, apart from
+    padic's own Horner kernel (padic._horner)."""
+    ring = alpha.ring
+    acc = ring.from_int(f[-1])
+    for c in reversed(f[:-1]):
+        acc = acc * alpha + ring.from_int(c)
+    return acc
+
+
 def combination(targets, e):
     """The target sum e_1 g_1 + ... + e_s g_s, for the public zero test."""
     return rel.ExponentPolynomial(tuple(

@@ -242,7 +242,7 @@ def test_criterion_08_hensel_residuals_and_precision():
                 roots = padic.lift_roots(f, padic.build_unramified(sel.p, sel.f_p, k))
                 assert len(roots.roots) == len(f) - 1
                 for r in roots.roots:
-                    assert padic.valuation(pol.evaluate(f, r)) >= k, \
+                    assert padic.valuation(corpus.horner(f, r)) >= k, \
                         (entry.label, sel.p, k)
             low = padic.lift_roots(f, padic.build_unramified(sel.p, sel.f_p, 5))
             high = padic.increase_precision(low, 20)

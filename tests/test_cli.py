@@ -260,6 +260,22 @@ def test_input_error_exit_code():
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("relations", {"poly": 5, "targets": []}),
+    ("relations", {"poly": [-2, 0, 1], "targets": [[1]]}),
+    ("relations", {"poly": [-2, 0, 1], "targets": [[[1, [1, 0]]]], "group": [1, 2]}),
+    ("relations", [1, 2]),
+    ("hull", {"matrix": 3}),
+    ("hull", {"lie_algebra": 5}),
+    ("hull", [[1]]),
+    ("iszero", {"poly": [-2, 0, 1], "target": 7}),
+])
+def test_malformed_json_shapes_exit_2(command, payload):
+    result = runner.invoke(main, [command, "-"], input=json.dumps(payload))
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert result.output.startswith("error: ") and "must be" in result.output
+
+
 def test_unknown_mode_exits_2_before_any_work():
     # a nilpotent matrix, zero generators and a zero target never reach
     # the code that branches on the mode

@@ -18,7 +18,6 @@ from click.testing import CliRunner
 
 import alghull
 from alghull import gf, padic
-from alghull import polynomials as pol
 from alghull import relations as rel
 from alghull.cli import main
 
@@ -44,7 +43,7 @@ def test_context_roots_match_fresh_lifts(entry, cold_contexts):
             assert got.ring == fresh.ring, (entry.label, prefer, k)
             assert _coeffs(got) == _coeffs(fresh), (entry.label, prefer, k)
             for r in got.roots:
-                assert padic.valuation(pol.evaluate(f, r)) >= k
+                assert padic.valuation(corpus.horner(f, r)) >= k
 
 
 def test_selection_matches_select_prime(cold_contexts):
@@ -118,9 +117,8 @@ def test_cli_rejects_non_squarefree_without_hanging():
 
 
 def test_corrupted_residue_fails_the_lift_check(monkeypatch):
-    def corrupted(f, seed=0):
-        ring = f[0].ring
-        return [ring.from_int(3), ring.from_int(5)]  # 3 is a square root of 2 mod 7; 5 is not
+    def corrupted(f, p, omega, seed=0):
+        return [(3,), (5,)]  # 3 is a square root of 2 mod 7; 5 is not
 
     monkeypatch.setattr(padic, "residue_roots", corrupted)
     for k in (1, 6):
@@ -129,10 +127,10 @@ def test_corrupted_residue_fails_the_lift_check(monkeypatch):
 
 
 def test_equal_degree_splitting_rejects_characteristic_two():
-    ring = padic.UnramifiedRing(2, 1, (1, 1, 1))  # GF(4)
-    x2_plus_x = [ring.zero(), ring.one(), ring.one()]
+    omega = (1, 1, 1)  # GF(4) = F_2[t]/(t^2 + t + 1)
+    x2_plus_x = [(0, 0), (1, 0), (1, 0)]
     with pytest.raises(ValueError, match="odd characteristic"):
-        padic._split_collect(x2_plus_x, random.Random(0), [])
+        padic._split_collect(x2_plus_x, omega, 2, random.Random(0), [])
 
 
 @pytest.mark.parametrize("prime", ["0", "-7", "9"])

@@ -20,6 +20,8 @@ from alghull import gf, padic
 from alghull import polynomials as pol
 from alghull.relations import ExponentPolynomial, proven_precision
 
+import corpus
+
 F_QUAD = (-2, 0, 1)  # x^2 - 2
 F_GOLDEN = (-1, -1, 1)  # x^2 - x - 1
 F_QUARTIC = (-2, 0, 0, 0, 1)  # x^4 - 2
@@ -44,24 +46,28 @@ def test_select_prime_respects_floor():
     assert padic.is_admissible(F_QUARTIC, sel.p)
 
 
-def test_valuation_of_integers():
-    assert padic.valuation(12, p=2, k=10) == 2
-    assert padic.valuation(12, p=3, k=10) == 1
-    assert padic.valuation(5, p=3, k=10) == 0
-    # exact zero reports the full precision ("at least k")
-    assert padic.valuation(0, p=3, k=7) == 7
+def test_valuation_of_elements():
+    ring = padic.build_unramified(3, 2, 7)
+    assert padic.valuation(ring.element((18, 0))) == 2
+    assert padic.valuation(ring.element((9, 6))) == 1
+    assert padic.valuation(ring.element((9, 5))) == 0
+    # zero reports the full precision ("at least k")
+    assert padic.valuation(ring.zero()) == 7
+    assert padic.valuation(ring.from_int(3**9)) == 7
 
 
 def test_ring_arithmetic_and_inverse():
     ring = padic.build_unramified(3, 2, 6)
     a = ring.element((2, 1))
     b = ring.element((5, 7))
-    assert (a + b - b - a).is_zero()
-    assert ((a * b) - (b * a)).is_zero()
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) * a == a * a + b * a
+    with pytest.raises(TypeError):
+        a + 1  # integers enter through ring.from_int
     # inverses come from the residue field, by extended Euclid
     field = ring.at_precision(1)
     inv = field.element(gf.gf_inverse(a.residue(), ring.omega, 3))
-    assert (field.element(a.coeffs) * inv - field.one()).is_zero()
+    assert field.element(a.coeffs) * inv == field.from_int(1)
     with pytest.raises(ZeroDivisionError):
         # valuation > 0 has no inverse
         gf.gf_inverse(ring.element((3, 0)).residue(), ring.omega, 3)
@@ -78,7 +84,7 @@ def test_inverse_at_every_precision():
             assert len(lifted.roots) == len(lifted.inverses) == len(f) - 1
             for alpha, y in zip(lifted.roots, lifted.inverses):
                 y = ring.element((y,) if f_p == 1 else y)
-                assert (pol.evaluate(fprime, alpha) * y).coeffs == ring.one().coeffs, (p, k)
+                assert corpus.horner(fprime, alpha) * y == ring.from_int(1), (p, k)
 
 
 @pytest.mark.parametrize("k", [1, 5, 20])
@@ -88,8 +94,7 @@ def test_hensel_residuals_at_increasing_precision(k):
         roots = padic.lift_roots(f, ring)
         assert len(roots.roots) == len(f) - 1
         for r in roots.roots:
-            val = pol.evaluate(f, r)
-            assert padic.valuation(val) >= k
+            assert padic.valuation(corpus.horner(f, r)) >= k
 
 
 def test_hensel_residuals_at_proven_precision():
@@ -97,7 +102,7 @@ def test_hensel_residuals_at_proven_precision():
     ring = padic.build_unramified(3, 2, k)
     roots = padic.lift_roots(F_QUAD, ring)
     for r in roots.roots:
-        assert padic.valuation(pol.evaluate(F_QUAD, r)) >= k
+        assert padic.valuation(corpus.horner(F_QUAD, r)) >= k
 
 
 def test_increase_precision_is_consistent():
@@ -109,7 +114,7 @@ def test_increase_precision_is_consistent():
     for a, b in zip(high.roots, fresh.roots):
         assert a.coeffs == b.coeffs
     for r in high.roots:
-        assert padic.valuation(pol.evaluate(F_QUARTIC, r)) >= 24
+        assert padic.valuation(corpus.horner(F_QUARTIC, r)) >= 24
 
 
 def test_increase_precision_inverts_once_per_root(monkeypatch):
@@ -126,7 +131,7 @@ def test_increase_precision_inverts_once_per_root(monkeypatch):
     high = padic.increase_precision(low, 64)  # six doubling steps
     assert calls == [5] * 4  # in the residue field, once per root
     for r in high.roots:
-        assert padic.valuation(pol.evaluate(F_QUARTIC, r)) >= 64
+        assert padic.valuation(corpus.horner(F_QUARTIC, r)) >= 64
 
 
 def test_build_unramified_tests_omega_once(monkeypatch):
@@ -144,19 +149,12 @@ def test_build_unramified_tests_omega_once(monkeypatch):
     tested.clear()
     assert padic.build_unramified(5, 4, 3, seed=2).omega == omega
     assert tested == searched  # the search's test only
-    tested.clear()
-    padic.UnramifiedRing(5, 3, omega)  # a caller's own omega is still tested
-    assert tested == [omega]
-    with pytest.raises(padic.PadicError, match="reducible"):
-        padic.UnramifiedRing(5, 3, (1, 0, 1))  # x^2 + 1 = (x - 2)(x + 2) mod 5
 
 
 def test_ring_construction_rejects_composite_p():
     for p in (9, 4, 1):
         with pytest.raises(padic.PadicError, match="not a prime"):
             padic.build_unramified(p, 3, 3)
-    with pytest.raises(padic.PadicError, match="not a prime"):
-        padic.UnramifiedRing(9, 3, (1, 0, 0, 1))
 
 
 def test_irreducible_search_is_bounded():
@@ -210,10 +208,9 @@ def test_root_splitting_is_bounded():
     code = (
         "import random\n"
         "from alghull import padic\n"
-        "ring = padic.build_unramified(4099, 1, 1)\n"
-        "f = [ring.from_int(c) for c in (-2, 0, 1)]\n"
+        "f = [(c % 4099,) for c in (-2, 0, 1)]\n"
         "for call in (lambda: padic.lift_roots((-2, 0, 1), padic.build_unramified(4099, 1, 2)),\n"
-        "             lambda: padic._split_collect(f, random.Random(0), [])):\n"
+        "             lambda: padic._split_collect(f, (0, 1), 4099, random.Random(0), [])):\n"
         "    try:\n"
         "        call()\n"
         "    except ValueError as exc:\n"
@@ -252,16 +249,14 @@ def test_eval_target():
     roots = padic.lift_roots(F_QUAD, ring)
     # x1 + x2 = 0 for x^2 - 2
     g = ExponentPolynomial.power_sum((1, 1), 1)
-    assert padic.eval_target(g, roots).is_zero()
+    assert padic.eval_target(g, roots) == roots.ring.zero()
     # x1 * x2 = -2
     g = ExponentPolynomial(((1, (1, 1)),))
-    val = padic.eval_target(g, roots)
-    assert (val + 2).is_zero()
+    assert padic.eval_target(g, roots) == roots.ring.from_int(-2)
     # for the golden-ratio polynomial the root sum is 1, not 0
     roots = padic.lift_roots(F_GOLDEN, padic.build_unramified(3, 2, 12))
     g = ExponentPolynomial.power_sum((1, 1), 1)
-    val = padic.eval_target(g, roots)
-    assert (val - 1).is_zero() and not val.is_zero()
+    assert padic.eval_target(g, roots) == roots.ring.from_int(1)
 
 
 def test_cached_roots_identity():
@@ -284,27 +279,82 @@ def _brute_force_roots(f, omega, p):
     return roots
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_residue_roots_match_brute_force(data):
-    # f = prod (x - beta) over distinct beta in GF(p^m), odd p < 30, m <= 3:
-    # both root-finding paths (exhaustive for q <= EXHAUSTIVE_PER_ROOT deg f,
-    # splitting above) and the splitter called directly find exactly the
-    # field's roots of f.
-    p = data.draw(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29]), label="p")
-    m = data.draw(st.integers(1, 3), label="m")
-    ring = padic.build_unramified(p, m, 1, seed=data.draw(st.integers(0, 3), label="seed"))
+def _field_product(betas, omega, p):
+    """prod (x - beta) over F_p[t]/(omega) in F_p[t] arithmetic, as a list
+    of coordinate tuples of length deg omega, constant first."""
+    f = [(1,)]
+    for beta in betas:  # f *= x - beta
+        f = [gf.gf_sub(low, gf.gf_mod(gf.gf_mul(beta, c, p), omega, p), p)
+             for low, c in zip([()] + f, f + [()])]
+    return [tuple(c) + (0,) * (len(omega) - 1 - len(c)) for c in f]
+
+
+def _frobenius_orbit(beta, omega, p):
+    """beta, beta^p, beta^(p^2), ... until the orbit closes (gf arithmetic)."""
+    orbit = [beta]
+    while True:
+        image = gf.gf_powmod(orbit[-1], p, omega, p)
+        image += (0,) * (len(beta) - len(image))
+        if image == beta:
+            return orbit
+        orbit.append(image)
+
+
+# Residue fields GF(p^m): exhaustive search for q <= 32 and in
+# characteristic 2 (GF(4), GF(8) among them); GF(13^2), GF(7^3) and GF(101)
+# are split while q > EXHAUSTIVE_PER_ROOT deg f, and searched once deg f
+# grows past that.  test_residue_field_builds_no_elements pins one input
+# of each path.
+RESIDUE_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 3), (5, 2), (31, 1),
+                  (13, 2), (7, 3), (101, 1)]
+
+
+@pytest.mark.parametrize("p, m", RESIDUE_FIELDS)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_residue_roots_match_brute_force(p, m, data):
+    # the library's input: an integral f, here the product over the
+    # Frobenius orbits of drawn field elements, which has coefficients in
+    # F_p; both root-finding paths find exactly the field's roots of f
+    omega = padic.build_unramified(p, m, 1, seed=data.draw(st.integers(0, 3), label="seed")).omega
     coords = st.tuples(*[st.integers(0, p - 1)] * m)
     betas = data.draw(st.lists(coords, min_size=1, max_size=min(4, p**m), unique=True),
                       label="betas")
-    event("exhaustive" if p**m <= padic.EXHAUSTIVE_PER_ROOT * len(betas) else "splitting")
-    f = [ring.one()]
-    for beta in betas:  # f *= x - beta
-        f = [low - ring.element(beta) * c for c, low in zip(f + [ring.zero()], [ring.zero()] + f)]
-    want = _brute_force_roots([c.coeffs for c in f], ring.omega, p)
-    assert want == sorted(betas)
-    found = padic.residue_roots(f, seed=data.draw(st.integers(0, 3), label="split seed"))
-    assert sorted(r.coeffs for r in found) == want
-    split = []
-    padic._split_collect(f, random.Random(data.draw(st.integers(0, 3))), split)
-    assert sorted(r.coeffs for r in split) == want
+    roots = sorted({gamma for beta in betas for gamma in _frobenius_orbit(beta, omega, p)})
+    f = _field_product(roots, omega, p)
+    assert all(not any(c[1:]) for c in f)  # Galois-stable: coefficients in F_p
+    f = tuple(c[0] for c in f)
+    q, n = p**m, len(f) - 1
+    event("exhaustive" if q <= padic.EXHAUSTIVE_PER_ROOT * n or p == 2 else "splitting")
+    want = _brute_force_roots([(c,) for c in f], omega, p)
+    assert want == roots
+    found = padic.residue_roots(f, p, omega, seed=data.draw(st.integers(0, 3), label="split seed"))
+    assert sorted(found) == want
+    if p > 2:
+        # the splitter on field coefficients: f = prod (x - beta) itself
+        f = _field_product(betas, omega, p)
+        split = []
+        padic._split_collect(f, omega, p, random.Random(data.draw(st.integers(0, 3))), split)
+        assert sorted(split) == _brute_force_roots(f, omega, p) == sorted(betas)
+
+
+def test_residue_field_builds_no_elements(monkeypatch):
+    # root finding, splitting and the Frobenius permutation run on
+    # coefficient tuples: none of them builds a PadicElement
+    quartic = padic.lift_roots(F_QUARTIC, padic.build_unramified(5, 4, 3))  # splitting
+    quad = padic.lift_roots(F_QUAD, padic.build_unramified(3, 2, 3))  # exhaustive
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a PadicElement was built")
+
+    monkeypatch.setattr(padic, "PadicElement", refuse)
+    for lifted in (quartic, quad):
+        p, omega = lifted.ring.p, lifted.ring.omega
+        residues = [r.residue() for r in lifted.roots]
+        assert sorted(padic.residue_roots(lifted.poly, p, omega)) == residues
+        split = []
+        field_f = [(c % p,) + (0,) * (len(omega) - 2) for c in lifted.poly]
+        padic._split_collect(field_f, omega, p, random.Random(0), split)
+        assert sorted(split) == residues
+    assert padic.frobenius_perm(quartic) == (1, 3, 0, 2)  # a 4-cycle: x^4 - 2 is inert at 5
+    assert padic.frobenius_perm(quad) == (1, 0)

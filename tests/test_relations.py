@@ -276,6 +276,23 @@ def test_routes_agree_on_corpus():
         assert a.certification == b.certification == "proven"
 
 
+def test_the_permutation_route_takes_no_group():
+    # no group and the trivial group give one RelationBasis, with the
+    # relation caches emptied between the two searches; a group keeps its
+    # degree check
+    for entry in corpus.CORPUS:
+        ts = variables(entry.poly)
+        for mode in ("proven", "heuristic"):
+            rel.clear_caches()
+            bare = rel.find_relations_galois(ts, mode=mode, group_order=entry.group_order)
+            rel.clear_caches()
+            trivial = rel.find_relations_galois(ts, galois.PermGroup(len(entry.poly) - 1, []),
+                                                mode=mode, group_order=entry.group_order)
+            assert bare == trivial and bare is not trivial, (entry.label, mode)
+    with pytest.raises(ValueError, match="group degree must equal deg f"):
+        rel.find_relations_galois(variables((-2, 0, 1)), galois.PermGroup(3, []))
+
+
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(st.integers(2, 4).flatmap(
