@@ -331,65 +331,70 @@ def cmd_bench(corpus, mode, seed, out, plot_data):
     permutation route, which shape-checks the entry's generators (none
     when "group" is absent); other keys are ignored.  Per-entry failures,
     a generator that is not a permutation among them, are reported and do
-    not stop the run.  The relation caches are emptied before each timed
-    call; root contexts stay shared.
+    not stop the run.  A corpus that is not a JSON array of objects exits
+    2.  The relation caches are emptied before each timed call; root
+    contexts stay shared.
     """
-    entries = _read_json(corpus)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["label", "route", "mode", "p", "f_p", "k", "seconds", "dim", "ok"])
-    plot_rows = []
-    mismatches = 0
-    for entry in entries:
-        label = entry.get("label", "?")
-        try:
-            f = _parse_poly(entry["poly"])
-            go = entry.get("group_order")
-            x = matrices.companion(f)
-            for route in ("A", "B"):
-                # time each route's searches cold, not an earlier entry's
-                # or route's memoized answer
-                rel.clear_caches()
-                t0 = time.perf_counter()
-                if route == "A":
-                    res = hull_mod.hull_matrix(
-                        x, mode=mode, route="lll", group_order=go, seed=seed)
-                else:
-                    group = galois_mod.PermGroup.from_images(
-                        len(f) - 1, entry.get("group", []))
-                    res = hull_mod.hull_matrix(
-                        x, mode=mode, route="galois", group=group,
-                        group_order=go, seed=seed)
-                elapsed = time.perf_counter() - t0
-                expected = entry.get("expected_dim")
-                ok = expected is None or res.dim == expected
-                if not ok:
-                    mismatches += 1
-                writer.writerow([
-                    label, route, mode,
-                    res.witnesses.get("prime", ""),
-                    res.witnesses.get("f_p", ""),
-                    res.witnesses.get("precision", ""),
-                    f"{elapsed:.3f}", res.dim, "yes" if ok else "no",
-                ])
-                if go:
-                    plot_rows.append((math.log(go), elapsed, label, route))
-        except Exception as exc:  # isolate per-entry failures
-            mismatches += 1
-            writer.writerow([label, "-", mode, "", "", "", "", "", f"error: {exc}"])
-    text = buf.getvalue()
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
-    if plot_data:
-        with open(plot_data, "w") as fh:
-            fh.write("# log_group_order seconds label route\n")
-            for lo, sec, label, route in plot_rows:
-                fh.write(f"{lo:.4f} {sec:.3f} {label} {route}\n")
-    if mismatches:
-        click.echo(f"{mismatches} entries flagged", err=True)
+    def go():
+        entries = [_expect(entry, dict, "a corpus entry")
+                   for entry in _expect(_read_json(corpus), list, "the corpus")]
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["label", "route", "mode", "p", "f_p", "k", "seconds", "dim", "ok"])
+        plot_rows = []
+        mismatches = 0
+        for entry in entries:
+            label = entry.get("label", "?")
+            try:
+                f = _parse_poly(entry["poly"])
+                order = entry.get("group_order")
+                x = matrices.companion(f)
+                for route in ("A", "B"):
+                    # time each route's searches cold, not an earlier entry's
+                    # or route's memoized answer
+                    rel.clear_caches()
+                    t0 = time.perf_counter()
+                    if route == "A":
+                        res = hull_mod.hull_matrix(
+                            x, mode=mode, route="lll", group_order=order, seed=seed)
+                    else:
+                        group = galois_mod.PermGroup.from_images(
+                            len(f) - 1, entry.get("group", []))
+                        res = hull_mod.hull_matrix(
+                            x, mode=mode, route="galois", group=group,
+                            group_order=order, seed=seed)
+                    elapsed = time.perf_counter() - t0
+                    expected = entry.get("expected_dim")
+                    ok = expected is None or res.dim == expected
+                    if not ok:
+                        mismatches += 1
+                    writer.writerow([
+                        label, route, mode,
+                        res.witnesses.get("prime", ""),
+                        res.witnesses.get("f_p", ""),
+                        res.witnesses.get("precision", ""),
+                        f"{elapsed:.3f}", res.dim, "yes" if ok else "no",
+                    ])
+                    if order:
+                        plot_rows.append((math.log(order), elapsed, label, route))
+            except Exception as exc:  # isolate per-entry failures
+                mismatches += 1
+                writer.writerow([label, "-", mode, "", "", "", "", "", f"error: {exc}"])
+        text = buf.getvalue()
+        if out:
+            with open(out, "w") as fh:
+                fh.write(text)
+        else:
+            click.echo(text, nl=False)
+        if plot_data:
+            with open(plot_data, "w") as fh:
+                fh.write("# log_group_order seconds label route\n")
+                for lo, sec, label, route in plot_rows:
+                    fh.write(f"{lo:.4f} {sec:.3f} {label} {route}\n")
+        if mismatches:
+            click.echo(f"{mismatches} entries flagged", err=True)
+
+    _run(go)
 
 
 if __name__ == "__main__":

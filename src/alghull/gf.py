@@ -1,9 +1,13 @@
 """Polynomial arithmetic over F_p.
 
 F_p[t] polynomials are tuples of ints in [0, p), constant term first.
-Arithmetic in GF(p^m) = F_p[t]/(omega) itself runs on coefficient tuples
-in padic's flat kernel (padic._mul at modulus p); gf_inverse supplies its
-inverses and power its powers.
+Products and divisions sum raw integer products and reduce each
+coefficient mod p once.  Factoring runs in two steps, both over F_p:
+distinct_degree_factors groups the irreducible factors of a squarefree
+polynomial by degree, and equal_degree_factors (Cantor-Zassenhaus) splits
+one group into its factors.  Arithmetic in GF(p^m) = F_p[t]/(omega)
+itself runs on coefficient tuples in padic's flat kernel (padic._mul at
+modulus p); gf_inverse supplies its inverses and power its powers.
 """
 
 from __future__ import annotations
@@ -35,14 +39,16 @@ def gf_mul(f, g, p):
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
+                out[i + j] += a * b
     return gf_normalize(out, p)
 
 
 def gf_divmod(f, g, p):
     if not g:
         raise ZeroDivisionError("division by zero polynomial")
-    r = [x % p for x in f]
+    # r holds raw sums: a coefficient is reduced mod p when it leads, and
+    # the remainder's at the end
+    r = list(f)
     dg = len(g) - 1
     inv_lg = pow(g[-1], -1, p)
     q = [0] * max(len(r) - dg, 0)
@@ -50,9 +56,9 @@ def gf_divmod(f, g, p):
         c = (r[shift + dg] * inv_lg) % p
         if c:
             q[shift] = c
-            for i, b in enumerate(g):
-                r[shift + i] = (r[shift + i] - c * b) % p
-    return gf_normalize(q, p), gf_normalize(r, p)
+            for i in range(dg):
+                r[shift + i] -= c * g[i]
+    return gf_normalize(q, p), gf_normalize(r[:dg], p)
 
 
 def gf_mod(f, g, p):
@@ -91,8 +97,8 @@ def power(base, e: int, mul):
     """base^e for e >= 1 under an associative product mul, by
     square-and-multiply with no product by one and no squaring past the
     top bit of e.  The one such loop: gf_powmod, padic._powmod (powers of
-    polynomials over GF(p^m)), padic.frobenius_perm (powers in GF(p^m))
-    and PadicElement.__pow__ run on it."""
+    polynomials over GF(p^m)), padic._frobenius (powers in GF(p^m)) and
+    PadicElement.__pow__ run on it."""
     result = None
     while True:
         if e & 1:
@@ -116,16 +122,15 @@ def gf_is_squarefree(f, p) -> bool:
     return len(gf_gcd(f, deriv, p)) == 1
 
 
-def distinct_degree_degrees(f, p) -> tuple[int, ...]:
-    """Multiset (sorted tuple) of irreducible factor degrees of f mod p.
+def distinct_degree_factors(f, p) -> list[tuple[int, tuple[int, ...]]]:
+    """The distinct-degree factorisation of f mod p: pairs (d, g_d), d
+    increasing, g_d the product of the irreducible factors of degree d.
 
-    Requires f squarefree mod p.  Uses gcds with t^(p^d) - t; no full
-    factorization is performed.
+    Requires f squarefree mod p (not tested here; distinct_degree_degrees
+    tests it).  Uses gcds with t^(p^d) - t; the g_d of a monic f are monic.
     """
     f = gf_normalize(f, p)
-    if not gf_is_squarefree(f, p):
-        raise ValueError("polynomial is not squarefree mod p")
-    degrees: list[int] = []
+    groups: list[tuple[int, tuple[int, ...]]] = []
     h = (0, 1)  # t
     work = f
     d = 0
@@ -133,15 +138,52 @@ def distinct_degree_degrees(f, p) -> tuple[int, ...]:
         d += 1
         if 2 * d > len(work) - 1:
             # remaining factor is irreducible of degree deg(work)
-            degrees.append(len(work) - 1)
+            groups.append((len(work) - 1, work))
             break
         h = gf_powmod(h, p, work, p)
         g = gf_gcd(gf_sub(h, (0, 1), p), work, p)
         if len(g) > 1:
-            degrees.extend([d] * ((len(g) - 1) // d))
+            groups.append((d, g))
             work = gf_divmod(work, g, p)[0]
             h = gf_mod(h, work, p)
-    return tuple(sorted(degrees))
+    return groups
+
+
+def distinct_degree_degrees(f, p) -> tuple[int, ...]:
+    """Multiset (sorted tuple) of irreducible factor degrees of f mod p.
+
+    Requires f squarefree mod p (a ValueError otherwise); the degrees come
+    from distinct_degree_factors, with no full factorization.
+    """
+    f = gf_normalize(f, p)
+    if not gf_is_squarefree(f, p):
+        raise ValueError("polynomial is not squarefree mod p")
+    return tuple(sorted(d for d, g in distinct_degree_factors(f, p)
+                        for _ in range((len(g) - 1) // d)))
+
+
+def equal_degree_factors(g, d: int, p: int, rng: random.Random,
+                         trials: int) -> list[tuple[int, ...]]:
+    """The irreducible factors of a monic squarefree g mod p whose
+    irreducible factors all have degree d (a g_d of
+    distinct_degree_factors), by Cantor-Zassenhaus equal-degree splitting:
+    for a random a, gcd(a^((p^d - 1)/2) - 1, g) is a proper factor with
+    probability about 1/2.  ValueError after `trials` failed draws on one
+    factor, and in characteristic 2, where the split does not work.
+    """
+    n = len(g) - 1
+    if n <= d:
+        return [g]
+    if p == 2:
+        raise ValueError("equal-degree splitting needs an odd characteristic")
+    half = (p**d - 1) // 2
+    for _ in range(trials):
+        a = gf_normalize([rng.randrange(p) for _ in range(n)], p)
+        s = gf_gcd(gf_sub(gf_powmod(a, half, g, p), (1,), p), g, p) if a else ()
+        if 0 < len(s) - 1 < n:
+            return (equal_degree_factors(s, d, p, rng, trials)
+                    + equal_degree_factors(gf_divmod(g, s, p)[0], d, p, rng, trials))
+    raise ValueError(f"no split of a degree-{n} factor in {trials} random trials")
 
 
 def gf_is_irreducible(f, p) -> bool:

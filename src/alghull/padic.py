@@ -8,9 +8,10 @@ every precision, so roots lifted at different precisions stay compatible.
 
 The residue field GF(p^f_p) = F_p[t]/(omega) runs on coefficient tuples
 through the flat kernel the Newton lift runs on (_mul, _horner):
-residue_roots finds the roots of f there, lift_roots Hensel-lifts them and
-frobenius_perm permutes them.  Only target evaluation (eval_target) builds
-a PadicElement per operation.
+residue_roots finds the roots of f there (one per irreducible factor of f
+over F_p, which gf finds, and the rest as its Frobenius orbit),
+lift_roots Hensel-lifts them and frobenius_perm permutes them.  Only
+target evaluation (eval_target) builds a PadicElement per operation.
 
 Callers reach roots through a RootContext (see root_context): one per
 polynomial, prime and seed, holding the prime selection, omega, the
@@ -51,11 +52,7 @@ def _is_prime(n: int) -> bool:
 
 
 def _primes_from(start: int):
-    n = max(start, 2)
-    while True:
-        if _is_prime(n):
-            yield n
-        n += 1
+    return filter(_is_prime, itertools.count(max(start, 2)))
 
 
 def is_admissible(f: Sequence[int], p: int) -> bool:
@@ -119,7 +116,9 @@ def select_prime(f: Sequence[int], prefer: str = "min") -> PrimeSelection:
     so with prefer="min" the scan stops at the first admissible prime where
     f splits (f_p = 1): no later prime can beat it.  prefer="max" compares
     the whole scan.  The result's f_p_lcm covers every prime scanned.  An
-    unknown preference is a ValueError before any work.
+    unknown preference is a ValueError before any work.  f is monic, so a
+    prime is admissible when f stays squarefree mod p, which the
+    factorisation at p tests (one squarefree gcd per candidate).
     """
     _check_prefer(prefer)
     found: list[PrimeSelection] = []
@@ -129,12 +128,14 @@ def select_prime(f: Sequence[int], prefer: str = "min") -> PrimeSelection:
         if len(found) >= SEARCH_LIMIT:
             break
         p = next(candidates)
-        if is_admissible(f, p):
+        try:  # the factorisation tests that f stays squarefree mod p
             sel = _selection_at(f, p)
-            f_p_lcm = math.lcm(f_p_lcm, sel.f_p)
-            if prefer == "min" and sel.f_p == 1:
-                return replace(sel, f_p_lcm=f_p_lcm)
-            found.append(sel)
+        except ValueError:
+            continue
+        f_p_lcm = math.lcm(f_p_lcm, sel.f_p)
+        if prefer == "min" and sel.f_p == 1:
+            return replace(sel, f_p_lcm=f_p_lcm)
+        found.append(sel)
     if not found:
         raise NoAdmissiblePrime(
             f"no admissible prime for the polynomial among the first "
@@ -307,8 +308,9 @@ SPLIT_TRIALS = 200
 # Field elements per root up to which residue_roots searches the residue
 # field exhaustively: timed on products of 2, 4 and 8 distinct linear
 # factors over fields of 3 to 2401 elements (2-core x86_64, Python
-# 3.11.7, the x^q = x check included in splitting), the exhaustive search
-# was the faster one up to about 32 elements per root, splitting above.
+# 3.11.7, when splitting still ran on f over GF(q)[x] after an x^q = x
+# check), the exhaustive search was the faster one up to about 32 elements
+# per root, splitting above.
 EXHAUSTIVE_PER_ROOT = 32
 
 
@@ -325,28 +327,37 @@ def _trim(f: list) -> list:
 
 
 def _divmod_monic(f: list, g: list, omega, p) -> tuple[list, list]:
-    """Quotient and remainder of f by a monic g."""
-    r = list(f)
-    d = len(g) - 1
+    """Quotient and remainder of f by a monic g.  f's coefficients may be
+    raw (unreduced, up to 2 deg omega - 1 entries, as _mulmod sums them);
+    each is reduced by omega and mod p once, when it leads or in the
+    remainder.  Zero entries are skipped, so a g with coefficients in F_p
+    costs scalar products."""
+    r = [list(c) + [0] * (2 * len(omega) - 3 - len(c)) for c in f]
+    low = [[(t, y) for t, y in enumerate(c) if y] for c in g[:-1]]  # g's nonzero entries
+    d = len(low)
     q = [None] * max(len(r) - d, 0)
     for i in range(len(q) - 1, -1, -1):
-        c = q[i] = r[i + d]
-        if any(c):
-            for j in range(d):
-                r[i + j] = tuple((a - b) % p for a, b in zip(r[i + j], _mul(c, g[j], omega, p)))
-    return _trim(q), _trim(r[:d])
+        c = q[i] = tuple(x % p for x in _reduce(r[i + d], omega))
+        c = [(s, x) for s, x in enumerate(c) if x]
+        for acc, gj in zip(itertools.islice(r, i, None), low):
+            for t, y in gj:
+                for s, x in c:
+                    acc[s + t] -= x * y
+    return _trim(q), _trim([tuple(x % p for x in _reduce(c, omega)) for c in r[:d]])
 
 
 def _mulmod(a: list, b: list, g: list, omega, p) -> list:
-    """a * b mod a monic g."""
-    if not a or not b:
-        return []
-    out = [(0,) * len(a[0])] * (len(a) + len(b) - 1)
+    """a * b mod a monic g, with the raw products summed per coefficient
+    and reduced once (_divmod_monic)."""
+    raw = [[0] * (2 * len(omega) - 3) for _ in range(len(a) + len(b) - 1)]
+    b = [[(t, y) for t, y in enumerate(c) if y] for c in b]
     for i, x in enumerate(a):
-        if any(x):
-            for j, y in enumerate(b):
-                out[i + j] = tuple((s + t) % p for s, t in zip(out[i + j], _mul(x, y, omega, p)))
-    return _divmod_monic(out, g, omega, p)[1]
+        x = [(s, u) for s, u in enumerate(x) if u]
+        for acc, y in zip(itertools.islice(raw, i, None), b):
+            for t, v in y:
+                for s, u in x:
+                    acc[s + t] += u * v
+    return _divmod_monic(raw, g, omega, p)[1]
 
 
 def _powmod(a: list, e: int, g: list, omega, p) -> list:
@@ -364,6 +375,33 @@ def _monic_gcd(a: list, b: list, omega, p) -> list:
     return a
 
 
+def _frobenius(a: tuple[int, ...], omega, p) -> tuple[int, ...]:
+    """a^p in the residue field (gf.power)."""
+    return gf.power(a, p, lambda x, y: _mul(x, y, omega, p))
+
+
+def _one_root(u: list, omega, p, rng: random.Random) -> tuple[int, ...]:
+    """One root of a monic u over the residue field that splits there into
+    distinct linear factors, by equal-degree splitting that follows only
+    the smaller factor, with at most SPLIT_TRIALS random shifts per step."""
+    d = len(omega) - 1
+    while len(u) > 2:
+        if p == 2:  # the exhaustive search covers every field of size <= 4096
+            raise ValueError("equal-degree splitting needs an odd characteristic")
+        for _ in range(SPLIT_TRIALS):
+            x_plus_shift = [tuple(rng.randrange(p) for _ in range(d)), (1,) + (0,) * (d - 1)]
+            h = _powmod(x_plus_shift, (p**d - 1) // 2, u, omega, p) or [(0,) * d]
+            h[0] = ((h[0][0] - 1) % p,) + h[0][1:]  # h - 1
+            g = _monic_gcd(u, _trim(h), omega, p)
+            if 0 < len(g) - 1 < len(u) - 1:
+                u = min(g, _divmod_monic(u, g, omega, p)[0], key=len)
+                break
+        else:
+            raise ValueError(f"no split of a degree-{len(u) - 1} factor in "
+                             f"{SPLIT_TRIALS} random trials")
+    return tuple(-c % p for c in u[0])
+
+
 def residue_roots(f: Sequence[int], p: int, omega: tuple[int, ...],
                   seed: int = 0) -> list[tuple[int, ...]]:
     """All roots, as coefficient tuples, of a squarefree monic integral f
@@ -371,58 +409,37 @@ def residue_roots(f: Sequence[int], p: int, omega: tuple[int, ...],
 
     A field of q elements is searched exhaustively (_horner) when
     q <= EXHAUSTIVE_PER_ROOT deg f, where that is the faster search, and
-    in characteristic 2 up to 4096 elements, where splitting cannot run;
-    otherwise f is split by equal-degree splitting (seeded, Las Vegas)
-    once it is known to divide x^q - x.  Raises ValueError when f does not
-    split into distinct linear factors.
+    in characteristic 2 up to 4096 elements, where splitting cannot run.
+    Otherwise f is factored over F_p (gf.distinct_degree_factors, then
+    gf.equal_degree_factors, seeded, Las Vegas); f splits into distinct
+    linear factors iff it is squarefree mod p and each factor degree e
+    divides deg omega.  Each factor of degree e gives one root (_one_root)
+    and the e - 1 others as its Frobenius images, and its orbit must close
+    after exactly e steps.  Raises ValueError when f does not split.
     """
     n = len(f) - 1
     if n <= 0:
         return []
     d = len(omega) - 1
-    q = p**d
-    if q <= EXHAUSTIVE_PER_ROOT * n or (p == 2 and q <= 4096):
+    if p**d <= EXHAUSTIVE_PER_ROOT * n or (p == 2 and p**d <= 4096):
         roots = [a for a in itertools.product(range(p), repeat=d)
                  if not any(_horner(f, a, omega, p))]
     else:
-        # f splits into distinct linear factors iff it divides x^q - x;
-        # from here on f is a polynomial over the field
-        zeros = (0,) * (d - 1)
-        f = [(c % p,) + zeros for c in f]
-        x = [(0,) + zeros, (1,) + zeros]
-        if _powmod(x, q, f, omega, p) != _divmod_monic(x, f, omega, p)[1]:
+        groups = gf.distinct_degree_factors(f, p) if gf.gf_is_squarefree(f, p) else None
+        if groups is None or any(d % e for e, _ in groups):
             raise ValueError("polynomial does not split over this field")
-        roots = []
-        _split_collect(f, omega, p, random.Random((seed, p, d).__hash__()), roots)
+        rng, zeros, roots = random.Random((seed, p, d).__hash__()), (0,) * (d - 1), []
+        for e, group in groups:
+            for u in gf.equal_degree_factors(group, e, p, rng, SPLIT_TRIALS):
+                orbit = [_one_root([(c,) + zeros for c in u], omega, p, rng)]
+                for _ in range(e):
+                    orbit.append(_frobenius(orbit[-1], omega, p))
+                if orbit.pop() != orbit[0] or len(set(orbit)) != e:
+                    raise ValueError(f"a Frobenius orbit of roots does not close after {e} steps")
+                roots += orbit
     if len(roots) != n:
         raise ValueError("polynomial does not split over this field")
     return roots
-
-
-def _split_collect(f: list, omega, p, rng: random.Random, out: list) -> None:
-    """Append the roots of a monic f over the residue field that splits
-    into distinct linear factors, by equal-degree splitting with at most
-    SPLIT_TRIALS random shifts per factor."""
-    n = len(f) - 1
-    if n == 0:
-        return
-    if n == 1:
-        out.append(tuple(-c % p for c in f[0]))
-        return
-    if p == 2:  # the exhaustive search covers every field of size <= 4096
-        raise ValueError("equal-degree splitting needs an odd characteristic")
-    d = len(omega) - 1
-    one, half = (1,) + (0,) * (d - 1), (p**d - 1) // 2
-    for _ in range(SPLIT_TRIALS):
-        shift = tuple(rng.randrange(p) for _ in range(d))
-        h = _powmod([shift, one], half, f, omega, p)  # then h - 1
-        h = _trim([((h[0][0] - 1) % p,) + h[0][1:]] + h[1:]) if h else [(p - 1,) + one[1:]]
-        g = _monic_gcd(f, h, omega, p)
-        if 0 < len(g) - 1 < n:
-            _split_collect(g, omega, p, rng, out)
-            _split_collect(_divmod_monic(f, g, omega, p)[0], omega, p, rng, out)
-            return
-    raise ValueError(f"no split of a degree-{n} factor in {SPLIT_TRIALS} random trials")
 
 
 def lift_roots(f: Sequence[int], ring: UnramifiedRing, seed: int = 0) -> ApproxRoots:
@@ -555,14 +572,10 @@ def frobenius_perm(roots: ApproxRoots) -> tuple[int, ...]:
     index = {res: i for i, res in enumerate(residues)}
     if len(index) != len(residues):
         raise PadicError("roots are not distinct mod p")
-    omega, p = roots.ring.omega, roots.ring.p
-    images = []
-    for res in residues:
-        target = gf.power(res, p, lambda a, b: _mul(a, b, omega, p))
-        if target not in index:
-            raise PadicError("Frobenius image does not match any root (corrupted roots)")
-        images.append(index[target])
-    return tuple(images)
+    images = tuple(index.get(_frobenius(res, roots.ring.omega, roots.ring.p)) for res in residues)
+    if None in images:
+        raise PadicError("Frobenius image does not match any root (corrupted roots)")
+    return images
 
 
 # ------------------------------------------------------------ root context

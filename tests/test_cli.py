@@ -425,6 +425,18 @@ def test_bench_isolates_bad_entries(tmp_path):
     assert result.output.count("x^2-2") == 2
 
 
+@pytest.mark.parametrize("corpus, message", [
+    (5, "the corpus must be a JSON array"),
+    ([1], "a corpus entry must be a JSON object"),
+])
+def test_bench_rejects_a_malformed_corpus(tmp_path, corpus, message):
+    src = tmp_path / "corpus.json"
+    src.write_text(json.dumps(corpus))
+    result = _invoke(["bench", str(src)])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {message}\n"
+
+
 def _cli_json(args, payload, optimize):
     """The JSON that `python [-O] -m alghull.cli ARGS` prints for the payload
     on stdin, without its timings."""

@@ -130,7 +130,7 @@ def test_equal_degree_splitting_rejects_characteristic_two():
     omega = (1, 1, 1)  # GF(4) = F_2[t]/(t^2 + t + 1)
     x2_plus_x = [(0, 0), (1, 0), (1, 0)]
     with pytest.raises(ValueError, match="odd characteristic"):
-        padic._split_collect(x2_plus_x, omega, 2, random.Random(0), [])
+        padic._one_root(x2_plus_x, omega, 2, random.Random(0))
 
 
 @pytest.mark.parametrize("prime", ["0", "-7", "9"])

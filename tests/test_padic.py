@@ -5,13 +5,16 @@ f(root) = 0 mod p^k, and raising the precision refines the same labeled
 roots (labels are assigned from sorted residues, so they are stable).
 """
 
+import functools
 import itertools
 import os
 import random
 import subprocess
 import sys
+import warnings
 
 import pytest
+import sympy
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -200,17 +203,54 @@ def test_irreducibility_matches_brute_force():
                     assert gf.gf_is_irreducible(f, p) == expected, (f, p)
 
 
+def _sympy_factors(f, p):
+    """The monic irreducible factors of a squarefree f mod p, by sympy's
+    factor_list, as sorted F_p coefficient tuples."""
+    x = sympy.symbols("x")
+    with warnings.catch_warnings():  # sympy's own sort of modular integers
+        warnings.simplefilter("ignore", sympy.utilities.exceptions.SymPyDeprecationWarning)
+        _, factors = sympy.factor_list(sum(c * x**i for i, c in enumerate(f)), x, modulus=p)
+    out = []
+    for g, multiplicity in factors:
+        assert multiplicity == 1
+        c = [int(a) % p for a in reversed(sympy.Poly(g, x).all_coeffs())]
+        out.append(gf.gf_normalize([a * pow(c[-1], -1, p) for a in c], p))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fp_factorisation_matches_sympy(seed):
+    # distinct-degree groups split by equal-degree splitting: their product
+    # is f, each factor is irreducible, the degrees are those of
+    # distinct_degree_degrees, and the factors are sympy's
+    rng = random.Random(seed)
+    checked = 0
+    while checked < 30:
+        p = rng.choice([3, 5, 7, 11, 13, 31, 101])
+        f = tuple(rng.randrange(p) for _ in range(rng.randint(1, 10))) + (1,)
+        if not gf.gf_is_squarefree(f, p):
+            continue
+        checked += 1
+        factors = [u for d, g in gf.distinct_degree_factors(f, p)
+                   for u in gf.equal_degree_factors(g, d, p, rng, padic.SPLIT_TRIALS)]
+        assert functools.reduce(lambda a, b: gf.gf_mul(a, b, p), factors, (1,)) == f
+        assert all(gf.gf_is_irreducible(u, p) for u in factors)
+        assert tuple(sorted(len(u) - 1 for u in factors)) == gf.distinct_degree_degrees(f, p)
+        assert sorted(factors) == _sympy_factors(f, p), (f, p)
+
+
 def test_root_splitting_is_bounded():
     # F_4099 has more than 4096 elements, so roots are found by randomized
     # splitting, which used to loop forever on x^2 - 2 (2 is not a square
     # mod 4099).  The split check rejects it; when called directly on an
-    # irreducible factor, the splitting gives up after SPLIT_TRIALS trials.
+    # irreducible factor, the one-root splitting gives up after
+    # SPLIT_TRIALS trials.
     code = (
         "import random\n"
         "from alghull import padic\n"
         "f = [(c % 4099,) for c in (-2, 0, 1)]\n"
         "for call in (lambda: padic.lift_roots((-2, 0, 1), padic.build_unramified(4099, 1, 2)),\n"
-        "             lambda: padic._split_collect(f, (0, 1), 4099, random.Random(0), [])):\n"
+        "             lambda: padic._one_root(f, (0, 1), 4099, random.Random(0))):\n"
         "    try:\n"
         "        call()\n"
         "    except ValueError as exc:\n"
@@ -300,42 +340,74 @@ def _frobenius_orbit(beta, omega, p):
         orbit.append(image)
 
 
+def _frobenius_shifted(a, omega, p):
+    """A Frobenius that fails: the true a^p plus one, so no orbit closes."""
+    image = gf.power(a, p, lambda x, y: padic._mul(x, y, omega, p))
+    return ((image[0] + 1) % p,) + image[1:]
+
+
 # Residue fields GF(p^m): exhaustive search for q <= 32 and in
 # characteristic 2 (GF(4), GF(8) among them); GF(13^2), GF(7^3) and GF(101)
 # are split while q > EXHAUSTIVE_PER_ROOT deg f, and searched once deg f
 # grows past that.  test_residue_field_builds_no_elements pins one input
-# of each path.
-RESIDUE_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 3), (5, 2), (31, 1),
-                  (13, 2), (7, 3), (101, 1)]
+# of each path.  The pinned roots below make sure the splitting path meets
+# two F_p-factors of one degree (two quadratics over F_13, two cubics over
+# F_7, three linear factors over F_4099) and the f_p = 1 splitting path
+# (4099 > 32 deg f); None draws the roots.
+RESIDUE_CASES = [pytest.param(p, m, None, id=f"{p}-{m}") for p, m in [
+    (2, 1), (2, 2), (2, 3), (3, 1), (3, 3), (5, 2), (31, 1), (13, 2), (7, 3), (101, 1)]] + [
+    pytest.param(13, 2, [(1, 1), (2, 1)], id="13-2-two-quadratics"),
+    pytest.param(7, 3, [(0, 1, 0), (1, 1, 0)], id="7-3-two-cubics"),
+    pytest.param(4099, 1, [(1,), (5,), (17,)], id="4099-1-three-linear"),
+]
 
 
-@pytest.mark.parametrize("p, m", RESIDUE_FIELDS)
+@pytest.mark.parametrize("p, m, pinned", RESIDUE_CASES)
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
-def test_residue_roots_match_brute_force(p, m, data):
+def test_residue_roots_match_brute_force(p, m, pinned, data):
     # the library's input: an integral f, here the product over the
     # Frobenius orbits of drawn field elements, which has coefficients in
     # F_p; both root-finding paths find exactly the field's roots of f
     omega = padic.build_unramified(p, m, 1, seed=data.draw(st.integers(0, 3), label="seed")).omega
     coords = st.tuples(*[st.integers(0, p - 1)] * m)
-    betas = data.draw(st.lists(coords, min_size=1, max_size=min(4, p**m), unique=True),
-                      label="betas")
-    roots = sorted({gamma for beta in betas for gamma in _frobenius_orbit(beta, omega, p)})
+    betas = pinned or data.draw(st.lists(coords, min_size=1, max_size=min(4, p**m), unique=True),
+                                label="betas")
+    orbits = {tuple(sorted(_frobenius_orbit(beta, omega, p))) for beta in betas}
+    roots = sorted(gamma for orbit in orbits for gamma in orbit)
     f = _field_product(roots, omega, p)
     assert all(not any(c[1:]) for c in f)  # Galois-stable: coefficients in F_p
     f = tuple(c[0] for c in f)
     q, n = p**m, len(f) - 1
-    event("exhaustive" if q <= padic.EXHAUSTIVE_PER_ROOT * n or p == 2 else "splitting")
+    splitting = q > padic.EXHAUSTIVE_PER_ROOT * n and p > 2
+    event("splitting" if splitting else "exhaustive")
+    degrees = sorted(len(orbit) for orbit in orbits)
+    if splitting and any(a == b for a, b in zip(degrees, degrees[1:])):
+        event("two F_p-factors of one degree")
     want = _brute_force_roots([(c,) for c in f], omega, p)
     assert want == roots
-    found = padic.residue_roots(f, p, omega, seed=data.draw(st.integers(0, 3), label="split seed"))
+    split_seed = data.draw(st.integers(0, 3), label="split seed")
+    found = padic.residue_roots(f, p, omega, seed=split_seed)
     assert sorted(found) == want
+    if pinned:
+        assert splitting and degrees[0] == degrees[1]
+    if splitting:
+        # the orbit check: a Frobenius that never closes an orbit, and the
+        # identity, which closes every orbit after one step (right only when
+        # every F_p-factor is linear)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(padic, "_frobenius", _frobenius_shifted)
+            with pytest.raises(ValueError, match="^a Frobenius orbit of roots"):
+                padic.residue_roots(f, p, omega, seed=split_seed)
+            mp.setattr(padic, "_frobenius", lambda a, omega, p: a)
+            if degrees[-1] > 1:
+                with pytest.raises(ValueError, match="^a Frobenius orbit of roots"):
+                    padic.residue_roots(f, p, omega, seed=split_seed)
     if p > 2:
-        # the splitter on field coefficients: f = prod (x - beta) itself
+        # the one-root splitter on field coefficients: f = prod (x - beta)
         f = _field_product(betas, omega, p)
-        split = []
-        padic._split_collect(f, omega, p, random.Random(data.draw(st.integers(0, 3))), split)
-        assert sorted(split) == _brute_force_roots(f, omega, p) == sorted(betas)
+        root = padic._one_root(f, omega, p, random.Random(data.draw(st.integers(0, 3))))
+        assert root in betas
 
 
 def test_residue_field_builds_no_elements(monkeypatch):
@@ -352,9 +424,7 @@ def test_residue_field_builds_no_elements(monkeypatch):
         p, omega = lifted.ring.p, lifted.ring.omega
         residues = [r.residue() for r in lifted.roots]
         assert sorted(padic.residue_roots(lifted.poly, p, omega)) == residues
-        split = []
         field_f = [(c % p,) + (0,) * (len(omega) - 2) for c in lifted.poly]
-        padic._split_collect(field_f, omega, p, random.Random(0), split)
-        assert sorted(split) == residues
+        assert padic._one_root(field_f, omega, p, random.Random(0)) in residues
     assert padic.frobenius_perm(quartic) == (1, 3, 0, 2)  # a 4-cycle: x^4 - 2 is inert at 5
     assert padic.frobenius_perm(quad) == (1, 0)
