@@ -4,8 +4,9 @@ F_p[t] polynomials are tuples of ints in [0, p), constant term first.
 Products and divisions sum raw integer products and reduce each
 coefficient mod p once.  Factoring runs in two steps, both over F_p:
 distinct_degree_factors groups the irreducible factors of a squarefree
-polynomial by degree, and equal_degree_factors (Cantor-Zassenhaus) splits
-one group into its factors.  Arithmetic in GF(p^m) = F_p[t]/(omega)
+polynomial by degree (distinct_degree_groups memoises it, with the
+squarefree test, per polynomial and prime), and equal_degree_factors
+(Cantor-Zassenhaus) splits one group into its factors.  Arithmetic in GF(p^m) = F_p[t]/(omega)
 itself runs on coefficient tuples in padic's flat kernel (padic._mul at
 modulus p); gf_inverse supplies its inverses and power its powers.
 """
@@ -13,6 +14,7 @@ modulus p); gf_inverse supplies its inverses and power its powers.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import Sequence
 
 
@@ -126,7 +128,7 @@ def distinct_degree_factors(f, p) -> list[tuple[int, tuple[int, ...]]]:
     """The distinct-degree factorisation of f mod p: pairs (d, g_d), d
     increasing, g_d the product of the irreducible factors of degree d.
 
-    Requires f squarefree mod p (not tested here; distinct_degree_degrees
+    Requires f squarefree mod p (not tested here; distinct_degree_groups
     tests it).  Uses gcds with t^(p^d) - t; the g_d of a monic f are monic.
     """
     f = gf_normalize(f, p)
@@ -149,17 +151,31 @@ def distinct_degree_factors(f, p) -> list[tuple[int, tuple[int, ...]]]:
     return groups
 
 
+@lru_cache(maxsize=1024)
+def distinct_degree_groups(f: tuple[int, ...], p: int):
+    """The distinct-degree groups (d, g_d) of f = gf_normalize(f, p) as a
+    tuple, or None when f is not squarefree mod p.
+
+    Memoised per (f mod p, p): a polynomial's prime scan, its root
+    context's admissibility test and selection, and its residue roots all
+    factor f at the same primes, and the squarefree gcd and the
+    distinct-degree loop run once for each.
+    """
+    if not gf_is_squarefree(f, p):
+        return None
+    return tuple(distinct_degree_factors(f, p))
+
+
 def distinct_degree_degrees(f, p) -> tuple[int, ...]:
     """Multiset (sorted tuple) of irreducible factor degrees of f mod p.
 
     Requires f squarefree mod p (a ValueError otherwise); the degrees come
-    from distinct_degree_factors, with no full factorization.
+    from distinct_degree_groups, with no full factorization.
     """
-    f = gf_normalize(f, p)
-    if not gf_is_squarefree(f, p):
+    groups = distinct_degree_groups(gf_normalize(f, p), p)
+    if groups is None:
         raise ValueError("polynomial is not squarefree mod p")
-    return tuple(sorted(d for d, g in distinct_degree_factors(f, p)
-                        for _ in range((len(g) - 1) // d)))
+    return tuple(sorted(d for d, g in groups for _ in range((len(g) - 1) // d)))
 
 
 def equal_degree_factors(g, d: int, p: int, rng: random.Random,

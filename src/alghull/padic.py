@@ -9,14 +9,21 @@ every precision, so roots lifted at different precisions stay compatible.
 The residue field GF(p^f_p) = F_p[t]/(omega) runs on coefficient tuples
 through the flat kernel the Newton lift runs on (_mul, _horner):
 residue_roots finds the roots of f there (one per irreducible factor of f
-over F_p, which gf finds, and the rest as its Frobenius orbit),
-lift_roots Hensel-lifts them and frobenius_perm permutes them.  Only
-target evaluation (eval_target) builds a PadicElement per operation.
+over F_p, which gf finds, and the rest as its Frobenius orbit), and
+frobenius_perm gives the permutation alpha -> alpha^p of the roots.
+increase_precision Hensel-lifts one root per orbit of that permutation
+and maps it to the rest of its orbit by the Frobenius automorphism of the
+ring, t -> tau, with tau the lifted root of omega that is t^p mod p.
+The factorisation of f mod p is memoised (gf.distinct_degree_groups):
+the prime scan, the admissibility test, the selection and residue_roots
+at one prime share it.  Only target evaluation (eval_target) builds a
+PadicElement per operation.
 
 Callers reach roots through a RootContext (see root_context): one per
 polynomial, prime and seed, holding the prime selection, omega, the
-highest-precision lift made so far with its Newton state, and the
-Frobenius permutation of the roots.
+highest-precision lift made so far with its Newton state (the inverses
+f'(alpha)^-1 and tau with omega'(tau)^-1), and the Frobenius permutation
+of the roots, which its first lift computes.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -56,11 +64,12 @@ def _primes_from(start: int):
 
 
 def is_admissible(f: Sequence[int], p: int) -> bool:
-    """p is admissible for monic integral f when f stays squarefree mod p."""
+    """p is admissible for monic integral f when f stays squarefree mod p
+    (gf.distinct_degree_groups, which the selection and the residue roots
+    at p read as well)."""
     fp = gf.gf_normalize(f, p)
-    if len(fp) != len(f):  # leading coefficient vanished (non-monic reduction)
-        return False
-    return gf.gf_is_squarefree(fp, p)
+    # a vanished leading coefficient (non-monic reduction) is not admissible
+    return len(fp) == len(f) and gf.distinct_degree_groups(fp, p) is not None
 
 
 @dataclass(frozen=True)
@@ -286,9 +295,15 @@ class ApproxRoots:
     ring: UnramifiedRing
     roots: tuple[PadicElement, ...]
     poly: tuple[int, ...]
-    # y_i = f'(alpha_i)^-1 mod p^k as flat values (see _newton), recorded by
-    # the lift that made these roots; None for roots made any other way.
+    # The Newton state the lift that made these roots records, None for
+    # roots made any other way: y_i = f'(alpha_i)^-1 mod p^k as flat values
+    # (see _newton), and (tau, omega'(tau)^-1) mod p^k for the root tau of
+    # omega that gives Frobenius (None at f_p = 1; see increase_precision).
     inverses: tuple | None = field(default=None, compare=False, repr=False)
+    tau: tuple | None = field(default=None, compare=False, repr=False)
+    # The Frobenius permutation of the roots (frobenius_perm), computed in
+    # a context's first lift and recorded by every lift after it.
+    frobenius: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -306,12 +321,15 @@ class ApproxRoots:
 SPLIT_TRIALS = 200
 
 # Field elements per root up to which residue_roots searches the residue
-# field exhaustively: timed on products of 2, 4 and 8 distinct linear
-# factors over fields of 3 to 2401 elements (2-core x86_64, Python
-# 3.11.7, when splitting still ran on f over GF(q)[x] after an x^q = x
-# check), the exhaustive search was the faster one up to about 32 elements
-# per root, splitting above.
-EXHAUSTIVE_PER_ROOT = 32
+# field exhaustively, where that is faster than factoring f over F_p and
+# completing each factor's root by its Frobenius orbit.  Timed (2-core
+# x86_64, Python 3.11.7, mean of 8 seeds, best of 5) on f of degree n
+# with F_p-factors of degrees dividing f_p: n = 2, 4, 8 over F_11 ...
+# F_257, and f_p = 2, 3, 4 with n up to 8 over GF(9) ... GF(625).  The
+# split was the faster one from about 13-25 elements per root at f_p = 1
+# and 10-30 at f_p > 1; summed over those inputs, 8 to 16 elements per
+# root cost the same and 32 (the earlier value) cost 15 % more.
+EXHAUSTIVE_PER_ROOT = 16
 
 
 def _inverse(a: tuple[int, ...], omega: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -410,7 +428,7 @@ def residue_roots(f: Sequence[int], p: int, omega: tuple[int, ...],
     A field of q elements is searched exhaustively (_horner) when
     q <= EXHAUSTIVE_PER_ROOT deg f, where that is the faster search, and
     in characteristic 2 up to 4096 elements, where splitting cannot run.
-    Otherwise f is factored over F_p (gf.distinct_degree_factors, then
+    Otherwise f is factored over F_p (gf.distinct_degree_groups, then
     gf.equal_degree_factors, seeded, Las Vegas); f splits into distinct
     linear factors iff it is squarefree mod p and each factor degree e
     divides deg omega.  Each factor of degree e gives one root (_one_root)
@@ -425,7 +443,7 @@ def residue_roots(f: Sequence[int], p: int, omega: tuple[int, ...],
         roots = [a for a in itertools.product(range(p), repeat=d)
                  if not any(_horner(f, a, omega, p))]
     else:
-        groups = gf.distinct_degree_factors(f, p) if gf.gf_is_squarefree(f, p) else None
+        groups = gf.distinct_degree_groups(gf.gf_normalize(f, p), p)
         if groups is None or any(d % e for e, _ in groups):
             raise ValueError("polynomial does not split over this field")
         rng, zeros, roots = random.Random((seed, p, d).__hash__()), (0,) * (d - 1), []
@@ -468,44 +486,97 @@ def lift_roots(f: Sequence[int], ring: UnramifiedRing, seed: int = 0) -> ApproxR
 
 def increase_precision(roots: ApproxRoots, k_new: int, inverses=None) -> ApproxRoots:
     """Same roots (same labeling) at a higher precision, by Newton steps
-    that double the precision (_newton), with f'(alpha)^-1 lifted along.
+    that double the precision (_newton) on one root per Frobenius orbit.
+
+    Frobenius sigma(sum a_i t^i) = sum a_i tau^i, where tau is the root of
+    omega with tau = t^p mod p, takes each root alpha_i of f to
+    alpha_sigma(i) (frobenius_perm) and f'(alpha_i)^-1 to
+    f'(alpha_sigma(i))^-1.  So Newton runs, with f'(alpha)^-1 lifted along,
+    on the first root of each orbit of the permutation and on tau (the
+    same steps on omega), and the orbit's other roots and inverses are
+    images under sigma.  The permutation is the one the roots record, or
+    else frobenius_perm of their residues: a context computes it once, in
+    its first lift.  At f_p = 1 every orbit has one root and no tau is
+    formed.
 
     inverses resumes a lift: the y_i = f'(alpha_i)^-1 mod p^k of the roots
     at their precision k, as the lift that made them recorded them in its
-    `inverses`.  A RootContext passes those of its top lift, so f'(alpha)
-    is inverted once per context.  Without them the lift restarts from the
-    residues, inverting f'(alpha) once per root in the residue field
+    `inverses`; tau resumes from the roots' recorded `tau`.  A RootContext
+    passes those of its top lift, so nothing is inverted after its first
+    lift.  Without them the lift restarts from the residues, inverting
+    f'(alpha) once per orbit and omega'(tau) once in the residue field
     (gf.gf_inverse): a simple root has exactly one lift, so the result is
-    the same.  Every result is checked to be a root of f mod p^k_new (a
-    PadicError otherwise) and records its inverses mod p^k_new.
+    the same.  Every result is checked to be a root of f mod p^k_new with
+    its label's residue (a PadicError otherwise) and records its Newton
+    state.
     """
     old = roots.ring
     if k_new < old.k:
         raise PadicError("cannot decrease precision")
-    f = roots.poly
+    f, omega, p, flat = roots.poly, old.omega, old.p, old.degree == 1
     fprime = tuple(i * f[i] for i in range(1, len(f)))
-    omega, flat, p = old.omega, old.degree == 1, old.p
-    prec, points = old.k, [r.coeffs for r in roots.roots]
+    sigma = roots.frobenius or frobenius_perm(roots)
+    orbits, seen = [], set()  # [i, sigma(i), sigma^2(i), ...], from the lowest label
+    for i in range(len(sigma)):
+        if i not in seen:
+            orbits.append([i])
+            while sigma[orbits[-1][-1]] not in orbits[-1]:
+                orbits[-1].append(sigma[orbits[-1][-1]])
+            seen.update(orbits[-1])
+    firsts = [roots.roots[orbit[0]].coeffs for orbit in orbits]
     if inverses is None:
-        prec, points, inverses = 1, [r.residue() for r in roots.roots], []
-        for a in points:
-            y = _inverse(_horner(fprime, a, omega, p), omega, p)
-            inverses.append(y[0] if flat else y)
-    alphas = [a[0] if flat else a for a in points]
-    moduli = []
-    while prec < k_new:
-        prec = min(2 * prec, k_new)
-        moduli.append(p**prec)
+        prec, tau = 1, None
+        starts = [_start(f, fprime, tuple(c % p for c in a), omega, p) for a in firsts]
+    else:
+        prec, tau = old.k, roots.tau
+        starts = [(a[0] if flat else a, inverses[o[0]]) for a, o in zip(firsts, orbits)]
     ring = old.at_precision(k_new)
+    m = ring.modulus
+    if not flat:
+        domega = tuple(i * omega[i] for i in range(1, len(omega)))
+        tau_prec = prec
+        if tau is None:
+            t_p = _frobenius((0, 1) + (0,) * (old.degree - 2), omega, p)
+            tau_prec, tau = 1, _start(omega, domega, t_p, omega, p)
+        tau = _newton(omega, domega, *tau, _moduli(tau_prec, k_new, p), omega)
+        powers = [(1,) + (0,) * (old.degree - 1)]  # tau^i, i < f_p: sigma's matrix
+        for _ in range(old.degree - 1):
+            powers.append(_mul(powers[-1], tau[0], omega, m))
+        rows = list(zip(*powers))
+    moduli = _moduli(prec, k_new, p)
+    lifted, lifted_inverses = [None] * len(sigma), [None] * len(sigma)
     zero = 0 if flat else (0,) * old.degree
-    lifted, lifted_inverses = [], []
-    for a, y in zip(alphas, inverses):
+    for orbit, (a, y) in zip(orbits, starts):
         a, y = _newton(f, fprime, a, y, moduli, omega)
-        if _horner(f, a, omega, ring.modulus) != zero:
-            raise PadicError(f"lifted value is not a root of f mod {old.p}^{k_new}")
-        lifted.append(PadicElement(ring, (a,) if flat else a))
-        lifted_inverses.append(y)
-    return ApproxRoots(ring, tuple(lifted), f, tuple(lifted_inverses))
+        for j, i in enumerate(orbit):
+            # Newton keeps the residue of the orbit's first root; the image
+            # under sigma of the previous root (and inverse) must have the
+            # residue of its label
+            if j:
+                a, y = (tuple(sum(map(operator.mul, c, r)) % m for r in rows) for c in (a, y))
+            if _horner(f, a, omega, m) != zero \
+                    or j and tuple(c % p for c in a) != roots.roots[i].residue():
+                raise PadicError(f"lifted value is not a root of f mod {p}^{k_new} "
+                                 f"with its label's residue")
+            lifted[i], lifted_inverses[i] = PadicElement(ring, (a,) if flat else a), y
+    return ApproxRoots(ring, tuple(lifted), f, tuple(lifted_inverses), tau, sigma)
+
+
+def _moduli(prec: int, k: int, p: int) -> list[int]:
+    """The moduli p^j of the Newton steps from precision prec to k, each
+    doubling the precision."""
+    moduli = []
+    while prec < k:
+        prec = min(2 * prec, k)
+        moduli.append(p**prec)
+    return moduli
+
+
+def _start(f, fprime, a: tuple[int, ...], omega, p):
+    """A root a of f mod p and f'(a)^-1, inverted in the residue field
+    (gf.gf_inverse), as flat values (see _newton)."""
+    y = _inverse(_horner(fprime, a, omega, p), omega, p)
+    return (a[0], y[0]) if len(omega) == 2 else (a, y)
 
 
 # The Newton kernel runs on flat values: an element of (Z/m)[t]/(omega) is
@@ -567,12 +638,15 @@ def eval_target(g, roots: ApproxRoots) -> PadicElement:
 def frobenius_perm(roots: ApproxRoots) -> tuple[int, ...]:
     """Permutation sigma (0-indexed images) with alpha_i^p = alpha_{sigma(i)} mod p.
 
-    RootContext.frobenius keeps it for the roots of a context."""
+    increase_precision computes it in a context's first lift, and
+    RootContext.frobenius reads it from there."""
     residues = [r.residue() for r in roots.roots]
     index = {res: i for i, res in enumerate(residues)}
     if len(index) != len(residues):
         raise PadicError("roots are not distinct mod p")
-    images = tuple(index.get(_frobenius(res, roots.ring.omega, roots.ring.p)) for res in residues)
+    omega, p = roots.ring.omega, roots.ring.p
+    # a^p = a for a in F_p: at f_p = 1 no power is taken
+    images = tuple(index.get(_frobenius(r, omega, p) if len(omega) > 2 else r) for r in residues)
     if None in images:
         raise PadicError("Frobenius image does not match any root (corrupted roots)")
     return images
@@ -586,10 +660,11 @@ class RootContext:
     Made only by root_context().  It holds the PrimeSelection, the ring
     (omega found and tested irreducible once; other precisions reuse it),
     the highest-precision lift made so far with its Newton state (the
-    inverses y_i = f'(alpha_i)^-1 the lift records), and the Frobenius
-    permutation of the roots.  roots(k) reduces the top lift mod p^k when
-    k is at or below its precision, and otherwise resumes its Newton steps
-    with increase_precision, inverting nothing again.
+    inverses y_i = f'(alpha_i)^-1 and tau, lifted with omega'(tau)^-1, that
+    the lift records), and the Frobenius permutation of the roots.
+    roots(k) reduces the top lift mod p^k when k is at or below its
+    precision, and otherwise resumes its Newton steps with
+    increase_precision, inverting nothing again.
     """
 
     def __init__(self, f: tuple[int, ...], p: int, seed: int):
@@ -598,7 +673,6 @@ class RootContext:
         self.seed = seed
         self._selection: PrimeSelection | None = None
         self._top: ApproxRoots | None = None
-        self._frobenius: tuple[int, ...] | None = None
 
     @property
     def selection(self) -> PrimeSelection:
@@ -629,10 +703,8 @@ class RootContext:
     @property
     def frobenius(self) -> tuple[int, ...]:
         """The Frobenius permutation of the labeled roots (frobenius_perm),
-        computed once, from the residues."""
-        if self._frobenius is None:
-            self._frobenius = frobenius_perm(self.roots(1))
-        return self._frobenius
+        computed once, in the context's first lift."""
+        return (self._top or self.roots(1)).frobenius
 
 
 def root_context(

@@ -2,11 +2,12 @@
 
 import pytest
 
-from alghull import padic
+from alghull import gf, padic
 from alghull import relations as rel
 
 
 def _clear_caches():
+    gf.distinct_degree_groups.cache_clear()
     padic._automatic_selection.cache_clear()
     padic._root_context.cache_clear()
     padic.cached_roots.cache_clear()
@@ -22,9 +23,9 @@ def cold_relation_searches():
 
 @pytest.fixture
 def cold_contexts():
-    """padic's prime selections, root contexts and cached lifts, and the
-    relation searches run on them, start empty, as in a fresh process,
-    and are emptied again afterwards."""
+    """gf's memoised factorisations, padic's prime selections, root
+    contexts and cached lifts, and the relation searches run on them,
+    start empty, as in a fresh process, and are emptied again afterwards."""
     _clear_caches()
     yield
     _clear_caches()

@@ -120,7 +120,7 @@ def test_increase_precision_is_consistent():
         assert padic.valuation(corpus.horner(F_QUARTIC, r)) >= 24
 
 
-def test_increase_precision_inverts_once_per_root(monkeypatch):
+def test_increase_precision_inverts_once_per_orbit(monkeypatch):
     calls = []
     inverse = gf.gf_inverse
 
@@ -130,9 +130,11 @@ def test_increase_precision_inverts_once_per_root(monkeypatch):
 
     monkeypatch.setattr(gf, "gf_inverse", counting)
     low = padic.lift_roots(F_QUARTIC, padic.build_unramified(5, 4, 1))
+    assert low.frobenius == (1, 3, 0, 2)  # x^4 - 2 is inert at 5: one orbit
     calls.clear()
     high = padic.increase_precision(low, 64)  # six doubling steps
-    assert calls == [5] * 4  # in the residue field, once per root
+    # in the residue field, f'(alpha) once for the orbit and omega'(tau) once
+    assert calls == [5] * 2
     for r in high.roots:
         assert padic.valuation(corpus.horner(F_QUARTIC, r)) >= 64
 
@@ -346,14 +348,14 @@ def _frobenius_shifted(a, omega, p):
     return ((image[0] + 1) % p,) + image[1:]
 
 
-# Residue fields GF(p^m): exhaustive search for q <= 32 and in
-# characteristic 2 (GF(4), GF(8) among them); GF(13^2), GF(7^3) and GF(101)
-# are split while q > EXHAUSTIVE_PER_ROOT deg f, and searched once deg f
-# grows past that.  test_residue_field_builds_no_elements pins one input
+# Residue fields GF(p^m): exhaustive search for q <= 16 and in
+# characteristic 2 (GF(4), GF(8) among them); GF(25), GF(27), GF(31),
+# GF(13^2), GF(7^3) and GF(101) are split while q > EXHAUSTIVE_PER_ROOT
+# deg f, and searched once deg f grows past that.  test_residue_field_builds_no_elements pins one input
 # of each path.  The pinned roots below make sure the splitting path meets
 # two F_p-factors of one degree (two quadratics over F_13, two cubics over
 # F_7, three linear factors over F_4099) and the f_p = 1 splitting path
-# (4099 > 32 deg f); None draws the roots.
+# (4099 > 16 deg f); None draws the roots.
 RESIDUE_CASES = [pytest.param(p, m, None, id=f"{p}-{m}") for p, m in [
     (2, 1), (2, 2), (2, 3), (3, 1), (3, 3), (5, 2), (31, 1), (13, 2), (7, 3), (101, 1)]] + [
     pytest.param(13, 2, [(1, 1), (2, 1)], id="13-2-two-quadratics"),

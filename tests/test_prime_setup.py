@@ -134,6 +134,46 @@ def test_scan_factors_up_to_the_first_split_prime(monkeypatch, f, prefer, factor
     assert counts["distinct_degree_degrees"] == factorisations
 
 
+def _counting_factorisations(monkeypatch, counts):
+    """Count the squarefree tests and distinct-degree loops per (f, p)."""
+    for name in ("gf_is_squarefree", "distinct_degree_factors"):
+        def wrapper(f, p, fn=getattr(gf, name), name=name):
+            counts[name, tuple(f), p] = counts.get((name, tuple(f), p), 0) + 1
+            return fn(f, p)
+
+        monkeypatch.setattr(gf, name, wrapper)
+
+
+# each residue root search factors f over F_p (no exhaustive search)
+@pytest.mark.parametrize("f, p", [
+    ((-2, 0, 0, 0, 1), 5),  # f_p = 4
+    ((1, 0, 0, 0, 0, 0, 0, 0, 1), 41),  # f_p = 2
+    ((-2, 0, 1), 97),  # f_p = 1
+])
+def test_a_fixed_prime_context_factors_f_once(monkeypatch, cold_contexts, f, p):
+    # is_admissible, the selection and residue_roots read one factorisation
+    counts = {}
+    _counting_factorisations(monkeypatch, counts)
+    ctx = padic.root_context(f, prime=p)
+    ctx.roots(6)
+    assert ctx.selection.p == p
+    key = (gf.gf_normalize(f, p), p)
+    assert counts[("gf_is_squarefree",) + key] == 1
+    assert counts[("distinct_degree_factors",) + key] == 1
+
+
+def test_the_min_scan_after_the_max_scan_factors_no_prime(monkeypatch, cold_contexts):
+    counts = {}
+    _counting_factorisations(monkeypatch, counts)
+    for e in corpus.CORPUS:
+        padic.select_prime(e.poly, prefer="max")
+    assert max(counts.values()) == 1
+    counts.clear()
+    for e in corpus.CORPUS:
+        padic.select_prime(e.poly, prefer="min")
+    assert counts == {}
+
+
 def test_unknown_preference_is_rejected_before_any_work(monkeypatch, cold_contexts):
     counts = {}
     _counting(monkeypatch, counts, gf, "distinct_degree_degrees")
