@@ -2,8 +2,9 @@
 Jordan decomposition, and spans of matrices with Lie bracket closure.
 
 Matrices are tuples of row tuples with Fraction (or int) entries.
-Products, brackets, linear combinations and the Krylov loop run on
-integer matrices: a rational matrix is d A for its least common
+Products, brackets, linear combinations, the Krylov loop, the
+characteristic polynomial (Faddeev-LeVerrier) and polynomial evaluation
+run on integer matrices: a rational matrix is d A for its least common
 denominator d, one integer product core (`_product`) multiplies, and
 one Fraction is built per output entry.
 """
@@ -78,7 +79,7 @@ def _fractions(a, d: int) -> Mat:
 
 def _product(a, b) -> list[list[int]]:
     """The integer matrix product A B: the one product core of mat_mul,
-    lie_bracket, powers and the Krylov loop."""
+    lie_bracket, powers, the Krylov loop and char_poly."""
     cols = list(zip(*b))
     return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
@@ -166,53 +167,33 @@ def linear_combination(coeffs: Sequence, mats: Sequence[Mat], n: int) -> Mat:
 
 
 def eval_poly(f, x: Mat) -> Mat:
-    """Evaluate a polynomial (constant first) at a square matrix."""
-    n = len(x)
-    acc = zero(n)
-    for c in reversed(f):
-        acc = mat_mul(acc, x) if not is_zero_matrix(acc) else acc
-        if c != 0:
-            acc = mat_add(acc, mat_scale(identity(n), c))
-    return acc
+    """Evaluate a polynomial (constant first) at a square matrix: with
+    P_i = (dX)^i, f(X) = sum(f_i / d^i * P_i), one integer combination."""
+    d, ps = _powers(x, len(f))
+    return _combine([(Fraction(c, d**i), p) for i, (c, p) in enumerate(zip(f, ps))], len(x))
 
 
 def char_poly(x: Mat):
     """Monic characteristic polynomial det(tI - X), exact over Q.
 
-    Uses similarity reduction to Hessenberg form followed by the standard
-    recurrence on leading principal Hessenberg blocks.
+    Faddeev-LeVerrier on the integer matrix A = dX, d the least common
+    denominator of X: from M_1 = I, c_k = -tr(A M_k) / k (an exact
+    division, as det(tI - A) has integer coefficients) and M_(k+1) =
+    A M_k + c_k I give det(tI - A) = sum(c_k t^(n-k)), so the coefficient
+    of t^(n-k) in det(tI - X) is c_k / d^k.
     """
+    x = as_matrix(x)
     if not is_square(x):
         raise DimensionError("characteristic polynomial needs a square matrix")
-    n = len(x)
-    if n == 0:
-        return (1,)
-    h = [[Fraction(v) for v in row] for row in x]
-    # Hessenberg reduction by similarity transformations.
-    for j in range(n - 2):
-        pivot = next((i for i in range(j + 1, n) if h[i][j] != 0), None)
-        if pivot is None:
-            continue
-        if pivot != j + 1:
-            h[j + 1], h[pivot] = h[pivot], h[j + 1]
-            for row in h:
-                row[j + 1], row[pivot] = row[pivot], row[j + 1]
-        for i in range(j + 2, n):
-            if h[i][j] != 0:
-                c = h[i][j] / h[j + 1][j]
-                h[i] = [a - c * b for a, b in zip(h[i], h[j + 1])]
-                for row in h:
-                    row[j + 1] += c * row[i]
-    # p_m(t) = charpoly of the leading m x m block.
-    polys = [(Fraction(1),)]  # p_0 = 1
-    for m in range(1, n + 1):
-        term = pol.mul(pol.sub((Fraction(0), Fraction(1)), (h[m - 1][m - 1],)), polys[m - 1])
-        prod = Fraction(1)
-        for i in range(m - 2, -1, -1):
-            prod *= h[i + 1][i]
-            term = pol.sub(term, pol.scale(polys[i], h[i][m - 1] * prod))
-        polys.append(term)
-    return polys[n]
+    d, a = _numerators(x)
+    coeffs, m = [1], _int_identity(len(x))
+    for k in range(1, len(x) + 1):
+        m = _product(a, m)
+        c = -trace(m) // k
+        coeffs.append(c)
+        for i, row in enumerate(m):
+            row[i] += c
+    return tuple(Fraction(c, d**k) for k, c in enumerate(coeffs))[::-1]
 
 
 def min_poly(x: Mat):

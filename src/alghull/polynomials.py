@@ -1,4 +1,7 @@
-"""Exact univariate polynomial arithmetic over Q.
+"""Exact univariate polynomials over Q: what the minimal polynomial, the
+Jordan split and the hull need (degree, derivative, division with
+remainder, gcd, squarefree part, and the root scaling that makes a
+minimal polynomial integral).
 
 Polynomials are tuples of coefficients, constant term first.  The zero
 polynomial is the empty tuple.  Coefficients are ints or Fractions; all
@@ -7,6 +10,7 @@ operations are exact.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -28,44 +32,6 @@ def degree(f: Poly) -> int:
 
 def is_monic(f: Poly) -> bool:
     return bool(f) and f[-1] == 1
-
-
-def leading(f: Poly):
-    if not f:
-        raise ValueError("zero polynomial has no leading coefficient")
-    return f[-1]
-
-
-def add(f: Poly, g: Poly) -> Poly:
-    n = max(len(f), len(g))
-    return normalize(
-        [(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)]
-    )
-
-
-def sub(f: Poly, g: Poly) -> Poly:
-    n = max(len(f), len(g))
-    return normalize(
-        [(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)]
-    )
-
-
-def scale(f: Poly, c) -> Poly:
-    if c == 0:
-        return ()
-    return normalize([a * c for a in f])
-
-
-def mul(f: Poly, g: Poly) -> Poly:
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return normalize(out)
 
 
 def divmod_poly(f: Poly, g: Poly) -> tuple[Poly, Poly]:
@@ -118,16 +84,6 @@ def squarefree_part(f: Poly) -> Poly:
     return monic(q)
 
 
-def content_denominator(f: Poly) -> int:
-    """Lcm of the coefficient denominators."""
-    from math import lcm
-
-    d = 1
-    for c in f:
-        d = lcm(d, Fraction(c).denominator)
-    return d
-
-
 def to_int_coeffs(f: Poly) -> tuple[int, ...]:
     """Coefficients as ints; raises if any coefficient is non-integral."""
     out = []
@@ -156,4 +112,4 @@ def integral_scaling(f: Poly) -> int:
     Takes c as the lcm of the coefficient denominators; then c^(n-i) * a_i
     is integral for every coefficient a_i.
     """
-    return content_denominator(f)
+    return math.lcm(*(Fraction(c).denominator for c in f))

@@ -246,8 +246,11 @@ def test_public_results_hold_fractions_only():
     assert res.dim == 2 and all(_all_fractions(_flat(b)) for b in res.span.basis)
     lie = hull.hull_lie_algebra([[[0, 1], [0, 0]], [[0, 0], [1, 0]]])
     assert all(_all_fractions(_flat(b)) for b in lie.span.basis)
-    for m in ([[1, 2], [3, 4]], jordan, [[5]], []):
+    for m in ([[1, 2], [3, 4]], jordan, [[5]], [[0]], [[0, 0], [0, 0]], []):
         assert _all_fractions(matrices.min_poly(m))
+        assert _all_fractions(matrices.char_poly(m))
+        assert _all_fractions(_flat(matrices.eval_poly((3, 0, 1), m)))
+        assert _all_fractions(_flat(matrices.eval_poly((), m)))
         assert all(_all_fractions(_flat(p)) for p in matrices.jordan_decomposition(m))
         assert all(_all_fractions(_flat(b)) for b in matrices.power_basis(m).basis)
     span = matrices.span_of([[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[1, 1], [0, 0]]])
